@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.signal import fftconvolve
 from scipy.special import ndtr, ndtri
 
 from .errors import AccountingError, ParameterError
@@ -160,6 +158,9 @@ def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if min(a.shape[0], b.shape[0]) < 64:
         out = np.convolve(a, b)
     else:
+        # Imported here so that commands without accounting never load scipy.signal.
+        from scipy.signal import fftconvolve
+
         out = fftconvolve(a, b)
     np.maximum(out, 0.0, out=out)  # FFT rounding can leave tiny negatives
     return out
@@ -309,6 +310,8 @@ def analytic_gaussian_epsilon(sensitivity: float, sigma: float, delta: float) ->
         raise ParameterError("sensitivity and sigma must be positive")
     if not 0.0 < delta < 1.0:
         raise ParameterError("delta must lie in (0, 1)")
+    from scipy.optimize import brentq  # deferred like fftconvolve in _convolve
+
     mu = sensitivity / sigma
 
     def delta_of(eps: float) -> float:

@@ -33,7 +33,7 @@ from .dataset import (
 )
 from .dp import COUNTS_SENSITIVITY, DpParams, knn_old_sensitivity
 from .errors import AccountingError, DataError, ParameterError
-from .evaluation import MethodConfig, bench_runtime, compute_values, run_detection
+from .evaluation import MethodConfig, auroc, bench_runtime, compute_values, run_detection
 from .mia import (
     MiaConfig,
     dp_tknn_value_scorer,
@@ -41,7 +41,6 @@ from .mia import (
     mia_lambdas,
     tknn_value_scorer,
 )
-from .evaluation import auroc
 from .knn import KnnConfig
 from .tknn import TknnConfig
 
@@ -85,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     det = sub.add_parser("detect", help="mislabel / noisy data detection AUROC")
     _add_data_args(det)
-    _add_method_args(det, dp=True, dp_optional=True)
+    _add_method_args(det, dp=True)
     det.add_argument("--corruption", choices=("flip", "noise"), required=True)
     det.add_argument("--rate", type=float, default=0.1)
     det.add_argument("--output", required=True)
@@ -99,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
     atk.add_argument("--shadow-count", type=int, default=32)
     atk.add_argument("--shadow-size", type=int, default=None)
     atk.add_argument("--n-val", type=int, default=16)
-    _add_method_args(atk, dp=True, dp_optional=True, methods=("knn", "tknn", "dp-tknn"))
+    _add_method_args(atk, dp=True, methods=("knn", "tknn", "dp-tknn"))
     atk.add_argument("--seed", type=int, default=0)
     atk.add_argument("--output", required=True)
     atk.set_defaults(handler=_cmd_attack)
@@ -147,13 +146,10 @@ def _add_data_args(p: argparse.ArgumentParser) -> None:
 def _add_method_args(
     p: argparse.ArgumentParser,
     dp: bool,
-    dp_optional: bool = False,
     methods: tuple[str, ...] | None = None,
 ) -> None:
     if methods is None:
         methods = ("tknn", "knn", "knn-old") if not dp else ("tknn", "knn", "knn-old", "dp-tknn", "dp-knn")
-        if dp_optional:
-            methods = ("tknn", "knn", "knn-old", "dp-tknn", "dp-knn")
     p.add_argument("--method", choices=methods, default="tknn")
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--tau", type=float, default=-0.5)
@@ -422,15 +418,15 @@ def _cmd_account(args: argparse.Namespace) -> int:
         args.grid_step,
         args.truncation_tail,
     )
-    report = {
-        "mechanisms": args.mechanisms,
-        "sigma": args.sigma,
-        "q": args.q,
-        "delta": args.delta,
-        "epsilon": eps,
-        "grid_step": args.grid_step,
-        "truncated_mass": composed.truncated_mass,
-    }
+    report = CalibrationResult(
+        sigma=args.sigma,
+        epsilon=eps,
+        mechanisms=args.mechanisms,
+        q=args.q,
+        delta=args.delta,
+        grid_step=args.grid_step,
+        truncated_mass=composed.truncated_mass,
+    ).report()
     _write_json(args.output, _artifact(args, report=report))
     return 0
 

@@ -188,13 +188,28 @@ def distances_to(metric: DistanceMetric, features: np.ndarray, x: np.ndarray) ->
 _EUCLIDEAN_CHUNK_ELEMS = 1 << 24  # bounds the (v, N, d) difference tensor
 
 
+def training_norms(metric: DistanceMetric, features: np.ndarray) -> np.ndarray | None:
+    """The per-row norms :func:`distance_matrix` needs, or None for Euclidean.
+
+    A caller that scores many validation chunks against one training set
+    computes these once and passes them to every chunk.
+    """
+    if metric is DistanceMetric.NEGATIVE_COSINE:
+        return np.linalg.norm(features, axis=1)
+    return None
+
+
 def distance_matrix(
-    metric: DistanceMetric, features: np.ndarray, val_features: np.ndarray
+    metric: DistanceMetric,
+    features: np.ndarray,
+    val_features: np.ndarray,
+    train_norms: np.ndarray | None = None,
 ) -> np.ndarray:
     """All pairwise distances, one row per validation point: shape (V, N).
 
     Identical rows of input produce bit-identical distance rows, which is what
-    preserves the index tie-break for exact duplicates.
+    preserves the index tie-break for exact duplicates. ``train_norms``, from
+    :func:`training_norms`, saves recomputing the training norms per call.
     """
     val_features = np.asarray(val_features, dtype=np.float64)
     n = features.shape[0]
@@ -204,7 +219,7 @@ def distance_matrix(
     if features.shape[1] != val_features.shape[1]:
         raise ParameterError("distance requires vectors of equal dimension")
     if metric is DistanceMetric.NEGATIVE_COSINE:
-        norms = np.linalg.norm(features, axis=1)
+        norms = training_norms(metric, features) if train_norms is None else train_norms
         vnorms = np.linalg.norm(val_features, axis=1)
         if np.any(norms == 0.0) or np.any(vnorms == 0.0):
             raise DataError("negative-cosine distance is undefined for zero vectors")
@@ -290,6 +305,10 @@ def load_csv(
 
     feats = np.asarray(features, dtype=np.float64)
     lab = np.asarray(labels, dtype=np.int64)
+    finite = np.isfinite(feats).all(axis=1)
+    if not finite.all():
+        bad = int(np.flatnonzero(~finite)[0]) + 1
+        raise DataError(f"row {bad}: non-finite feature value")
     if lab.min() < 0:
         raise DataError("labels must be nonnegative integers")
     if l2_normalize:
@@ -303,6 +322,9 @@ def load_csv(
         raise DataError(
             "dataset declares fewer than 2 classes; pass num_classes explicitly to override"
         )
+    if lab.max() >= c:
+        bad = int(np.flatnonzero(lab >= c)[0]) + 1
+        raise DataError(f"row {bad}: label {lab[bad - 1]} is not below the class count {c}")
     return Dataset(feats, lab, c)
 
 

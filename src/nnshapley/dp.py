@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import TAG_NOISE, TAG_SUBSAMPLE, stream
-from .dataset import Dataset, distance_matrix, validation_chunks
+from .dataset import Dataset, distance_matrix, training_norms, validation_chunks
 from .errors import ParameterError
 from .knn import KnnConfig, knn_score_matrix, knn_shapley_scores
-from .tknn import NeighborCounts, TknnConfig, a2_term, tknn_shapley_from_counts
+from .tknn import NeighborCounts, TknnConfig, tknn_gather, tknn_shapley_from_counts
 from .valuation import MethodDescriptor, ValuationResult
 
 COUNTS_SENSITIVITY = math.sqrt(3.0)  # l2 sensitivity of the counting triple
@@ -147,7 +147,6 @@ def dp_tknn_score_from_privatized(
     in_sampled_neighborhood: bool,
     label_match: bool,
     num_classes: int,
-    _a2_cache: dict | None = None,
 ) -> float:
     """Deterministic post-processing of one privatized triple into one score.
 
@@ -155,47 +154,7 @@ def dp_tknn_score_from_privatized(
     reproduce that point's released score bit-for-bit.
     """
     loo = privatized_loo_counts(priv, in_sampled_neighborhood, label_match)
-    return tknn_shapley_from_counts(loo, label_match, within_threshold, num_classes, _a2_cache)
-
-
-def _dp_tknn_row_scores(
-    priv: PrivatizedCounts,
-    within: np.ndarray,
-    in_nb: np.ndarray,
-    match: np.ndarray,
-    num_classes: int,
-    a2_cache: dict[tuple[int, int], float] | None = None,
-) -> np.ndarray:
-    """Vectorized post-processing of one privatized triple for all owners.
-
-    Mirrors the non-private assembly exactly, so the sigma = 0, q = 1 release
-    is bit-identical to the non-private score vector.
-    """
-    if a2_cache is None:
-        a2_cache = {}
-    c_loo = max(priv.counts.c - 1, 0)
-    dec = in_nb.astype(np.int64)
-    cxp = np.clip(priv.counts.c_x - dec, 1, c_loo + 1)
-    czp = np.clip(priv.counts.c_zplus - dec * match.astype(np.int64), 0, cxp - 1)
-    m = match.astype(np.float64)
-    inv_c = 1.0 / num_classes
-    # The decrement leaves at most two distinct c_x values across owners.
-    lo_val = int(min(max(priv.counts.c_x - 1, 1), c_loo + 1))
-    hi_val = int(min(max(priv.counts.c_x, 1), c_loo + 1))
-    a2 = np.zeros(within.shape[0])
-    for value in {lo_val, hi_val}:
-        if value >= 2:
-            key = (c_loo, value)
-            cached = a2_cache.get(key)
-            if cached is None:
-                cached = a2_term(c_loo, value)
-                a2_cache[key] = cached
-            a2[cxp == value] = cached
-    # Divisors are clamped away from zero; clamped entries are masked below.
-    base = (m - inv_c) / cxp
-    a1 = m / cxp - czp / np.maximum(cxp * (cxp - 1), 1)
-    inter = np.where(cxp >= 2, a1 * a2, 0.0)
-    return np.where(within, base + inter, 0.0)
+    return tknn_shapley_from_counts(loo, label_match, within_threshold, num_classes)
 
 
 def dp_tknn_shapley_all(
@@ -210,36 +169,39 @@ def dp_tknn_shapley_all(
     Per validation point: one Poisson subsample (when q < 1), one counting
     pass, one 3-draw privatization, then every owner's score by O(1)
     decrements on the shared privatized triple. Exactly 3 * |dval| Gaussian
-    draws regardless of N.
+    draws regardless of N. Each row's value table holds
+    :func:`dp_tknn_score_from_privatized` for the four flag pairs, and the
+    same kernel as the non-private release spreads it over the owners.
     """
     if dval.n == 0:
         raise ParameterError("validation set must be nonempty")
     sigma = params.resolve_sigma(COUNTS_SENSITIVITY)
+    norms = training_norms(cfg.metric, ds.features)
     total = np.zeros(ds.n)
     released: list[PrivatizedCounts] = []
-    a2_cache: dict[tuple[int, int], float] = {}
     for lo, hi in validation_chunks(dval.n, ds.n):
-        dist = distance_matrix(cfg.metric, ds.features, dval.features[lo:hi])
-        within_chunk = dist <= cfg.tau
-        match_chunk = ds.labels[None, :] == dval.labels[lo:hi][:, None]
-        chunk = np.zeros((hi - lo, ds.n))
+        dist = distance_matrix(cfg.metric, ds.features, dval.features[lo:hi], norms)
+        within = dist <= cfg.tau
+        match = ds.labels[None, :] == dval.labels[lo:hi][:, None]
+        in_nb = within.copy() if params.q < 1.0 else within
+        table = np.empty((hi - lo, 2, 2))
         for row in range(hi - lo):
             v = lo + row
-            within = within_chunk[row]
-            match = match_chunk[row]
+            c = ds.n
             if params.q < 1.0:
                 keep = _poisson_mask(ds.n, params.q, stream(params.seed, TAG_SUBSAMPLE, v))
-                in_nb = within & keep
-                counts = NeighborCounts(int(keep.sum()), 1 + int(in_nb.sum()),
-                                        int((in_nb & match).sum()))
-            else:
-                in_nb = within
-                counts = NeighborCounts(ds.n, 1 + int(within.sum()),
-                                        int((within & match).sum()))
+                in_nb[row] &= keep
+                c = int(keep.sum())
+            counts = NeighborCounts(
+                c, 1 + int(in_nb[row].sum()), int((in_nb[row] & match[row]).sum())
+            )
             priv = privatize_counts(counts, sigma, stream(params.seed, TAG_NOISE, v))
             released.append(priv)
-            chunk[row] = _dp_tknn_row_scores(priv, within, in_nb, match, num_classes, a2_cache)
-        total += chunk.sum(axis=0)
+            for nb, m in np.ndindex(2, 2):
+                table[row, nb, m] = dp_tknn_score_from_privatized(
+                    priv, True, bool(nb), bool(m), num_classes
+                )
+        total += tknn_gather(table, within, match, in_nb).sum(axis=0)
     descriptor = MethodDescriptor(
         name="dp-tknn-shapley",
         num_classes=num_classes,
@@ -275,9 +237,10 @@ def dp_knn_shapley_all(
     n = ds.n
     total = np.zeros(n)
     if not subsampled:
+        norms = training_norms(cfg.metric, ds.features)
         for lo, hi in validation_chunks(dval.n, n):
             chunk = knn_score_matrix(
-                ds, cfg, dval.features[lo:hi], dval.labels[lo:hi], num_classes
+                ds, cfg, dval.features[lo:hi], dval.labels[lo:hi], num_classes, norms
             )
             for row in range(hi - lo):
                 rng = stream(params.seed, TAG_NOISE, lo + row)

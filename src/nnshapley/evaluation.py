@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from ._rng import TAG_DATA, stream
 from .dataset import CorruptionRecord, Dataset, DistanceMetric, generate_gaussian_synthetic
@@ -26,6 +25,9 @@ def auroc(scores: np.ndarray, positives: np.ndarray) -> float:
 
     ``positives`` is a boolean mask or an index collection into ``scores``.
     """
+    # Imported here so that a plain valuation never loads scipy.stats.
+    from scipy.stats import rankdata
+
     scores = np.asarray(scores, dtype=np.float64)
     pos = np.asarray(positives)
     if pos.dtype != bool:

@@ -14,7 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, DistanceMetric, LabeledPoint, distance_matrix, validation_chunks
+from .dataset import (
+    Dataset,
+    DistanceMetric,
+    LabeledPoint,
+    distance_matrix,
+    training_norms,
+    validation_chunks,
+)
 from .errors import ParameterError
 from .valuation import MethodDescriptor, ValuationResult
 
@@ -78,11 +85,16 @@ def knn_score_matrix(
     val_features: np.ndarray,
     val_labels: np.ndarray,
     num_classes: int,
+    train_norms: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Score matrix (one row per validation point), original index order."""
+    """Score matrix (one row per validation point), original index order.
+
+    ``train_norms`` are the training norms from :func:`training_norms`, which
+    a caller looping over validation chunks computes once.
+    """
     if ds.n == 0:
         raise ParameterError("KNN-Shapley is undefined on an empty dataset")
-    dist = distance_matrix(cfg.metric, ds.features, val_features)
+    dist = distance_matrix(cfg.metric, ds.features, val_features, train_norms)
     order = np.argsort(dist, axis=1, kind="stable")
     match = ds.labels[order] == np.asarray(val_labels)[:, None]
     if cfg.variant == "refined":
@@ -138,19 +150,20 @@ def knn_shapley_all(
     if dval.n == 0:
         raise ParameterError("validation set must be nonempty")
     chunks = validation_chunks(dval.n, ds.n)
+    norms = training_norms(cfg.metric, ds.features)
 
     def run_chunk(bounds: tuple[int, int]) -> np.ndarray:
         lo, hi = bounds
         return knn_score_matrix(
-            ds, cfg, dval.features[lo:hi], dval.labels[lo:hi], num_classes
+            ds, cfg, dval.features[lo:hi], dval.labels[lo:hi], num_classes, norms
         ).sum(axis=0)
 
+    total = np.zeros(ds.n)
     if threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run_chunk, chunks))
+            for part in pool.map(run_chunk, chunks):  # chunk order keeps the sum bit-reproducible
+                total += part
     else:
-        parts = [run_chunk(c) for c in chunks]
-    total = np.zeros(ds.n)
-    for part in parts:  # fixed order keeps the sum bit-reproducible
-        total += part
+        for bounds in chunks:
+            total += run_chunk(bounds)
     return ValuationResult(total, _descriptor(cfg, num_classes), validation_size=dval.n)

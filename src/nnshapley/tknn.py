@@ -6,6 +6,21 @@ data: c = |D_-z|, c_x = 1 + (neighbors of the validation point within tau in
 D_-z), and c_zplus = same-label neighbors in D_-z. The count triple for every
 leave-one-out set follows from the full-data triple by O(1) decrements, which
 is what makes the full score vector O(N) per validation point.
+
+The interaction term has the exact closed form A2(c, c_x) = H_{c_x} - 1,
+which follows from sum_{j=1}^{n} C(n-j, m)/j = C(n, m)(H_n - H_m) (derived in
+:func:`a2_term`). It does not depend on c, so c affects scores only through
+the clamping of a privatized triple. Releasing just the two counts that
+matter would lower the sensitivity to sqrt(2), but it changes the paper's
+mechanism, and the acceptance suite pins three draws per validation point
+(criterion 4); it is out of scope.
+
+Within one validation row every in-threshold point takes one of a few values,
+chosen by its label match and, for a subsampled private release, by whether
+it lies in the sampled neighbourhood. :func:`tknn_gather` turns one such
+value table per row into the score matrix; the plain and the private release
+both go through it, and the scalar paths compute each table entry with the
+same helper, so all of them agree bit for bit.
 """
 
 from __future__ import annotations
@@ -23,6 +38,7 @@ from .dataset import (
     LabeledPoint,
     distance_matrix,
     distances_to,
+    training_norms,
     validation_chunks,
 )
 from .errors import EnumerationLimitError, ParameterError
@@ -93,43 +109,30 @@ def counts_leave_one_out(
         raise ParameterError(f"inconsistent leave-one-out decrement: {exc}") from exc
 
 
-_A2_BLOCK = 1 << 16
-
-
 def a2_term(c: int, c_x: int) -> float:
-    """A2 = sum_{k=0}^{c} (1 - C(c-k, c_x)/C(c+1, c_x)) / (k+1)  -  1.
+    """A2(c, c_x) = sum_{k=0}^{c} (1 - C(c-k, c_x)/C(c+1, c_x)) / (k+1)  -  1  =  H_{c_x} - 1.
 
-    The binomial ratio R(k) follows a multiplicative recurrence: each step
-    multiplies by (c - k + 1 - c_x) / (c - k + 1), which reaches exactly zero
-    once c - k < c_x and never materializes a binomial coefficient. The ratio
-    is evaluated in cache-sized blocks; once it underflows or hits its exact
-    zero, the remaining terms are a pure harmonic tail, closed in O(1) with
-    digamma.
+    Substituting j = k + 1 turns the binomial part into
+    sum_{j=1}^{n} C(n-j, m)/j with n = c + 1 and m = c_x, and that sum equals
+    C(n, m)(H_n - H_m) (induction on n, using Pascal's rule and
+    C(n, m)/n = C(n-1, m-1)/m). The harmonic parts H_{c+1} cancel, leaving
+    H_{c_x} - 1, which is evaluated as digamma(c_x + 1) + gamma - 1. The count
+    c only bounds the admissible c_x, so it reaches the scores only through
+    the clamping of a privatized triple; a two-count release is out of scope
+    because the three-draw mechanism is pinned by acceptance criterion 4.
     """
     if c_x < 1 or c_x > c + 1:
         raise ParameterError("a2_term needs 1 <= c_x <= c + 1")
-    r0 = (c + 1 - c_x) / (c + 1)
-    if c == 0:
-        return (1.0 - r0) - 1.0
-    total = 1.0 - r0  # the k = 0 term
-    running = r0
-    k = 1
-    while k <= c and running != 0.0:
-        hi = min(k + _A2_BLOCK - 1, c)
-        steps = np.arange(c - k + 1.0, c - hi, -1.0)  # c - j + 1 for j = k..hi
-        work = steps - c_x
-        work /= steps
-        np.cumprod(work, out=work)
-        work *= running
-        running = float(work[-1])
-        np.subtract(1.0, work, out=work)
-        work /= np.arange(k + 1.0, hi + 2.0)
-        total += float(work.sum())
-        k = hi + 1
-    if k <= c:
-        # R(j) is exactly zero from here on: sum_{j=k}^{c} 1/(j+1).
-        total += float(digamma(c + 2.0) - digamma(k + 1.0))
-    return total - 1.0
+    return float(digamma(c_x + 1.0)) + np.euler_gamma - 1.0
+
+
+def _point_value(c_x: int, c_zplus: int, label_match: bool, inv_c: float, a2: float) -> float:
+    """Value of an in-threshold point from its leave-one-out c_x, c_zplus and A2."""
+    m = 1.0 if label_match else 0.0
+    base = (m - inv_c) / c_x
+    if c_x < 2:
+        return base
+    return base + (m / c_x - c_zplus / (c_x * (c_x - 1.0))) * a2
 
 
 def tknn_shapley_from_counts(
@@ -137,7 +140,6 @@ def tknn_shapley_from_counts(
     label_match: bool,
     in_threshold: bool,
     num_classes: int,
-    _a2_cache: dict[tuple[int, int], float] | None = None,
 ) -> float:
     """The closed-form value given the leave-one-out counting triple.
 
@@ -147,20 +149,27 @@ def tknn_shapley_from_counts(
     if not in_threshold:
         return 0.0
     c, c_x, c_zplus = counts.as_tuple()
-    match = 1.0 if label_match else 0.0
-    base = (match - 1.0 / num_classes) / c_x
-    if c_x < 2:
-        return base
-    a1 = match / c_x - c_zplus / (c_x * (c_x - 1.0))
-    if _a2_cache is not None:
-        key = (c, c_x)
-        a2 = _a2_cache.get(key)
-        if a2 is None:
-            a2 = a2_term(c, c_x)
-            _a2_cache[key] = a2
-    else:
-        a2 = a2_term(c, c_x)
-    return base + a1 * a2
+    return _point_value(c_x, c_zplus, label_match, 1.0 / num_classes, a2_term(c, c_x))
+
+
+def tknn_gather(
+    table: np.ndarray, within: np.ndarray, match: np.ndarray, in_nb: np.ndarray
+) -> np.ndarray:
+    """Score matrix of a chunk of validation rows from their value tables.
+
+    ``table[r, nb, m]`` is the value of an in-threshold point of row r with
+    neighbourhood flag nb and label match m; points outside the threshold
+    score exactly zero. ``in_nb`` marks the points of each row's sampled
+    neighbourhood, which is ``within`` itself when nothing is subsampled.
+    """
+    rows = table.shape[0]
+    lookup = np.zeros((rows, 5))  # column 0 holds the out-of-threshold zero
+    lookup[:, 1:] = table.reshape(rows, 4)
+    index = in_nb.view(np.uint8) * np.uint8(2)
+    index += match.view(np.uint8)
+    index += np.uint8(1)
+    index *= within.view(np.uint8)
+    return lookup.reshape(-1)[np.arange(0, 5 * rows, 5)[:, None] + index]
 
 
 def _descriptor(cfg: TknnConfig, num_classes: int, weight: str = "shapley") -> MethodDescriptor:
@@ -179,47 +188,33 @@ def tknn_score_matrix(
     val_features: np.ndarray,
     val_labels: np.ndarray,
     num_classes: int,
+    train_norms: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Score matrix (one row per validation point), O(N) per row."""
+    """Score matrix (one row per validation point), O(N) per row.
+
+    ``train_norms`` are the training norms from :func:`training_norms`, which
+    a caller looping over validation chunks computes once.
+    """
     n = ds.n
     v = np.asarray(val_labels).shape[0]
     if n == 0:
         return np.zeros((v, 0))
-    dist = distance_matrix(cfg.metric, ds.features, val_features)
-    within = dist <= cfg.tau
+    within = distance_matrix(cfg.metric, ds.features, val_features, train_norms) <= cfg.tau
     match = ds.labels[None, :] == np.asarray(val_labels)[:, None]
-    c_x_rows = 1 + within.sum(axis=1)
-    c_zplus_rows = (within & match).sum(axis=1)
-
-    # Every in-threshold point of a row shares the same leave-one-out (c, c_x).
-    cxp = (c_x_rows - 1)[:, None]
+    # Every in-threshold point of a row has the leave-one-out c_x = its row's
+    # count and c_zplus = its row's same-label count minus its own match.
+    c_x_rows = within.sum(axis=1).tolist()
+    c_zplus_rows = (within & match).sum(axis=1).tolist()
     inv_c = 1.0 / num_classes
-    cache: dict[int, float] = {}
-    a2_rows = np.zeros(v)
-    for row, cx in enumerate(c_x_rows):
-        if cx >= 3:  # interaction needs the leave-one-out c_x of at least 2
-            value = cache.get(int(cx))
-            if value is None:
-                value = a2_term(n - 1, int(cx) - 1)
-                cache[int(cx)] = value
-            a2_rows[row] = value
-    # Buffer-lean assembly: same arithmetic as the scalar/DP paths, evaluated
-    # in place to keep large-N runs memory-bandwidth friendly. Divisors are
-    # clamped away from zero; clamped entries are masked at the end.
-    cxp_safe = np.maximum(cxp, 1)
-    denom = np.maximum(cxp * (cxp - 1), 1)
-    m = match.astype(np.float64)
-    work = m - inv_c
-    work /= cxp_safe  # base = (m - 1/C) / c_x'
-    czp_div = c_zplus_rows[:, None] - m
-    czp_div /= denom
-    m /= cxp_safe
-    m -= czp_div  # a1 = m / c_x' - czp / (c_x' (c_x' - 1))
-    m *= a2_rows[:, None]
-    m[c_x_rows < 3] = 0.0  # interaction vanishes when the loo c_x is below 2
-    work += m
-    work *= within  # out-of-threshold points are worth exactly zero
-    return work
+    table = np.zeros((v, 2, 2))
+    for row, (cxp, czp) in enumerate(zip(c_x_rows, c_zplus_rows)):
+        if cxp:  # a row without in-threshold points scores nothing
+            a2 = a2_term(n - 1, cxp)
+            table[row, 1] = (
+                _point_value(cxp, czp, False, inv_c, a2),
+                _point_value(cxp, czp - 1, True, inv_c, a2),
+            )
+    return tknn_gather(table, within, match, within)
 
 
 def tknn_shapley_scores(
@@ -255,21 +250,22 @@ def tknn_shapley_all(
     if dval.n == 0:
         raise ParameterError("validation set must be nonempty")
     chunks = validation_chunks(dval.n, ds.n)
+    norms = training_norms(cfg.metric, ds.features)
 
     def run_chunk(bounds: tuple[int, int]) -> np.ndarray:
         lo, hi = bounds
         return tknn_score_matrix(
-            ds, cfg, dval.features[lo:hi], dval.labels[lo:hi], num_classes
+            ds, cfg, dval.features[lo:hi], dval.labels[lo:hi], num_classes, norms
         ).sum(axis=0)
 
+    total = np.zeros(ds.n)
     if threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run_chunk, chunks))
+            for part in pool.map(run_chunk, chunks):  # chunk order keeps the sum bit-reproducible
+                total += part
     else:
-        parts = [run_chunk(c) for c in chunks]
-    total = np.zeros(ds.n)
-    for part in parts:
-        total += part
+        for bounds in chunks:
+            total += run_chunk(bounds)
     return ValuationResult(total, _descriptor(cfg, num_classes), validation_size=dval.n)
 
 

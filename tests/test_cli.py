@@ -62,6 +62,27 @@ class TestValueCommand:
         assert code == 3
         assert "target" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_exits_3(self, tmp_path, capsys, cell):
+        train = write_csv(tmp_path, "train.csv", f"0.9,0.1,0\n{cell},0.3,0\n0.1,0.9,1\n")
+        val = write_csv(tmp_path, "val.csv", "1.0,0.0,0\n")
+        out = tmp_path / "x.json"
+        code = run_cli(["value", "--train", train, "--val", val, "--output", str(out)])
+        assert code == 3
+        assert "row 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_label_at_class_count_exits_3(self, csv_pair, tmp_path, capsys):
+        train, _ = csv_pair
+        val = write_csv(tmp_path, "val3.csv", "1.0,0.0,0\n0.0,1.0,2\n")
+        out = tmp_path / "x.json"
+        assert run_cli(["value", "--train", train, "--val", val, "--output", str(out)]) == 3
+        assert "class count 2" in capsys.readouterr().err
+        code = run_cli(["value", "--train", val, "--val", train, "--num-classes", "2",
+                        "--output", str(out)])
+        assert code == 3
+        assert not out.exists()
+
     def test_synthetic_shorthand(self, tmp_path):
         out = str(tmp_path / "s.json")
         assert run_cli(["value", "--synthetic", "n=50,d=4", "--synthetic-val", "n=10",
@@ -248,6 +269,16 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert out.exists()
+
+    def test_import_leaves_accountant_modules_unloaded(self):
+        code = (
+            "import sys, nnshapley.cli; "
+            "print(sorted(m for m in ('scipy.signal', 'scipy.optimize', 'scipy.stats') "
+            "if m in sys.modules))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_usage_error_is_exit_2(self):
         proc = subprocess.run(

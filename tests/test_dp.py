@@ -3,16 +3,20 @@ import math
 import numpy as np
 import pytest
 
+from nnshapley import dataset
 from nnshapley.dataset import (
     Dataset,
     DistanceMetric,
     LabeledPoint,
     distances_to,
     generate_gaussian_synthetic,
+    validation_chunks,
 )
+from nnshapley._rng import TAG_SUBSAMPLE, stream
 from nnshapley.dp import (
     COUNTS_SENSITIVITY,
     DpParams,
+    _poisson_mask,
     calibrate_sigma,
     count_triple_l2_change,
     dp_knn_shapley_all,
@@ -134,6 +138,18 @@ class TestDpTknn:
         assert np.array_equal(nonpriv.scores, priv_res.scores)
         assert all(p.raw_noise_draws == (0.0, 0.0, 0.0) for p in audit)
 
+    def test_degenerate_release_is_bit_exact_over_chunks(self, monkeypatch):
+        monkeypatch.setattr(dataset, "_SCORE_CHUNK_ELEMS", 2_000)
+        ds = generate_gaussian_synthetic(400, 6, seed=1)
+        dval = generate_gaussian_synthetic(80, 6, seed=2)
+        assert len(validation_chunks(dval.n, ds.n)) >= 2
+        cfg = TknnConfig(-0.3, NEGCOS)
+        nonpriv = tknn_shapley_all(ds, cfg, dval, 2, threads=2)
+        priv_res, _ = dp_tknn_shapley_all(
+            ds, cfg, dval, 2, DpParams(delta=1e-4, sigma=0.0, q=1.0, seed=0)
+        )
+        assert np.array_equal(nonpriv.scores, priv_res.scores)
+
     def test_three_draws_per_validation_point(self):
         for n in (10, 200):
             ds = generate_gaussian_synthetic(n, 4, seed=1)
@@ -163,6 +179,30 @@ class TestDpTknn:
                 rebuilt[i] += dp_tknn_score_from_privatized(
                     audit[v], bool(within[i]), bool(within[i]), bool(match[i]), 2
                 )
+        assert np.array_equal(rebuilt, res.scores)
+
+    def test_collusion_resistant_recompute_with_subsampling(self):
+        # With q < 1 an owner also needs its own subsample membership, which the
+        # keyed stream reproduces; in-threshold points outside the sample differ.
+        ds = generate_gaussian_synthetic(60, 5, seed=4)
+        dval = generate_gaussian_synthetic(5, 5, seed=5)
+        cfg = TknnConfig(-0.4, NEGCOS)
+        params = DpParams(delta=1e-4, sigma=3.0, q=0.5, seed=6)
+        res, audit = dp_tknn_shapley_all(ds, cfg, dval, 2, params)
+        rebuilt = np.zeros(ds.n)
+        differs = False
+        for v in range(dval.n):
+            zval = dval.point(v)
+            within = distances_to(NEGCOS, ds.features, zval.features) <= cfg.tau
+            keep = _poisson_mask(ds.n, params.q, stream(params.seed, TAG_SUBSAMPLE, v))
+            in_nb = within & keep
+            differs |= bool((within != in_nb).any())
+            match = ds.labels == zval.label
+            for i in range(ds.n):
+                rebuilt[i] += dp_tknn_score_from_privatized(
+                    audit[v], bool(within[i]), bool(in_nb[i]), bool(match[i]), 2
+                )
+        assert differs
         assert np.array_equal(rebuilt, res.scores)
 
     def test_seeded_determinism_with_subsampling(self):

@@ -1,9 +1,18 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from nnshapley.dataset import Dataset, DistanceMetric, LabeledPoint, distance
+from nnshapley import dataset
+from nnshapley.dataset import (
+    Dataset,
+    DistanceMetric,
+    LabeledPoint,
+    distance,
+    generate_gaussian_synthetic,
+    validation_chunks,
+)
 from nnshapley.errors import EnumerationLimitError, ParameterError
 from nnshapley.tknn import (
     NeighborCounts,
@@ -166,6 +175,16 @@ class TestClosedForm:
         summed = sum(tknn_shapley_single(ds, cfg, dval.point(i), 2).scores for i in range(dval.n))
         assert np.max(np.abs(total.scores - summed)) < 1e-12
 
+    def test_thread_count_does_not_change_scores(self, monkeypatch):
+        monkeypatch.setattr(dataset, "_SCORE_CHUNK_ELEMS", 2_000)
+        ds = generate_gaussian_synthetic(400, 5, seed=3)
+        dval = generate_gaussian_synthetic(80, 5, seed=4)
+        assert len(validation_chunks(dval.n, ds.n)) >= 2
+        cfg = TknnConfig(-0.2, NEGCOS)
+        one = tknn_shapley_all(ds, cfg, dval, 2, threads=1).scores
+        two = tknn_shapley_all(ds, cfg, dval, 2, threads=2).scores
+        assert np.array_equal(one, two)
+
 
 class TestA2:
     @pytest.mark.parametrize("c,c_x", [(1, 2), (5, 2), (10, 4), (100, 7), (1000, 3), (10000, 50)])
@@ -177,6 +196,18 @@ class TestA2:
             a2_term(3, 0)
         with pytest.raises(ParameterError):
             a2_term(3, 5)
+
+    def test_harmonic_identity_exact(self):
+        # A2(c, c_x) = H_{c_x} - 1, from sum_{j=1}^{n} C(n-j, m)/j = C(n, m)(H_n - H_m).
+        for c in range(30):
+            for c_x in range(1, c + 2):
+                denom = math.comb(c + 1, c_x)
+                exact = sum(
+                    (1 - Fraction(math.comb(c - k, c_x), denom)) / (k + 1) for k in range(c + 1)
+                ) - 1
+                harmonic = sum(Fraction(1, j) for j in range(1, c_x + 1))
+                assert exact == harmonic - 1
+                assert a2_term(c, c_x) == pytest.approx(float(exact), rel=1e-14, abs=1e-15)
 
     def test_all_neighbors_case(self):
         # c_x = c + 1 zeroes every binomial ratio: A2 = H(c + 1) - 1.
