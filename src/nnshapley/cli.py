@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -31,23 +32,24 @@ from .dataset import (
     generate_gaussian_synthetic,
     load_csv,
 )
-from .dp import COUNTS_SENSITIVITY, DpParams, knn_old_sensitivity
+from .dp import COUNTS_SENSITIVITY, DpParams
 from .errors import AccountingError, DataError, ParameterError
-from .evaluation import MethodConfig, auroc, bench_runtime, compute_values, run_detection
-from .mia import (
-    MiaConfig,
-    dp_tknn_value_scorer,
-    knn_value_scorer,
-    mia_lambdas,
-    tknn_value_scorer,
+from .evaluation import (
+    METHODS,
+    MethodConfig,
+    auroc,
+    bench_runtime,
+    compute_values,
+    run_detection,
 )
-from .knn import KnnConfig
-from .tknn import TknnConfig
+from .mia import MiaConfig, mia_lambdas, value_scorer
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "baseline", None) is not None:
+        args.method = args.baseline
     try:
         return args.handler(args)
     except ParameterError as exc:
@@ -149,7 +151,7 @@ def _add_method_args(
     methods: tuple[str, ...] | None = None,
 ) -> None:
     if methods is None:
-        methods = ("tknn", "knn", "knn-old") if not dp else ("tknn", "knn", "knn-old", "dp-tknn", "dp-knn")
+        methods = tuple(name for name, spec in METHODS.items() if dp or not spec.private)
     p.add_argument("--method", choices=methods, default="tknn")
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--tau", type=float, default=-0.5)
@@ -164,9 +166,9 @@ def _add_method_args(
         p.add_argument("--truncation-tail", type=float, default=DEFAULT_TRUNCATION_TAIL)
         p.add_argument(
             "--baseline",
-            choices=("dp-tknn", "dp-knn"),
+            choices=tuple(name for name in methods if METHODS[name].private),
             default=None,
-            help="shorthand: route a dp run to the named mechanism",
+            help="shorthand: run the named dp mechanism in place of --method",
         )
 
 
@@ -218,13 +220,21 @@ def _load_datasets(args: argparse.Namespace) -> tuple[Dataset, Dataset]:
     return train, dval
 
 
-def _method_config(args: argparse.Namespace, dp_params: DpParams | None = None) -> MethodConfig:
+def _method_config(args: argparse.Namespace) -> MethodConfig:
+    """The method the flags ask for, validated before any data is loaded.
+
+    A private method carries the requested budget (``--epsilon`` or
+    ``--sigma``); :func:`_resolve_dp` turns it into the release's noise scale.
+    """
+    dp = None
+    if METHODS[args.method].private:
+        dp = DpParams(args.delta, args.epsilon, args.sigma, seed=substream_seed(args.seed, 9))
     return MethodConfig(
         name=args.method,
         k=args.k,
         tau=args.tau,
         metric=DistanceMetric.parse(args.metric),
-        dp=dp_params,
+        dp=dp,
         dp_subsampled=bool(getattr(args, "dp_subsampled", False)),
     )
 
@@ -247,9 +257,6 @@ def _artifact(args: argparse.Namespace, **payload) -> dict:
 
 
 def _cmd_value(args: argparse.Namespace) -> int:
-    # Validate flags before any data is touched.
-    KnnConfig(args.k, DistanceMetric.parse(args.metric))
-    TknnConfig(args.tau, DistanceMetric.parse(args.metric))
     method = _method_config(args)
     train, dval = _load_datasets(args)
     result = compute_values(train, dval, method, threads=args.threads)
@@ -257,59 +264,37 @@ def _cmd_value(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_dp(args: argparse.Namespace, n_val: int) -> tuple[DpParams, CalibrationResult]:
+def _resolve_dp(
+    args: argparse.Namespace, method: MethodConfig, n_val: int
+) -> tuple[MethodConfig, CalibrationResult]:
     """Fix the per-release noise scale and account the composed budget.
 
     With --epsilon, sigma is found by inverting the accountant over all
     n_val releases (so the composed epsilon never exceeds the request); with
-    --sigma the accountant just reports the composed epsilon.
+    --sigma the accountant just reports the composed epsilon. The sensitivity
+    and sampling rate are those of the mechanism that ``method`` runs.
     """
-    method = args.baseline or args.method
-    if method == "dp-tknn":
-        sensitivity = COUNTS_SENSITIVITY
-        q = args.q
-    else:
-        sensitivity = knn_old_sensitivity(args.k)
-        q = args.q if args.dp_subsampled else 1.0
-    if (args.epsilon is None) == (args.sigma is None):
-        raise ParameterError("provide exactly one of --epsilon and --sigma")
-    if args.sigma is not None:
-        eps, composed = composed_epsilon(
-            sensitivity, args.sigma, q, n_val, args.delta, args.grid_step, args.truncation_tail
-        )
-        calibration = CalibrationResult(
-            sigma=args.sigma,
-            epsilon=eps,
-            mechanisms=n_val,
-            q=q,
-            delta=args.delta,
-            grid_step=args.grid_step,
-            truncated_mass=composed.truncated_mass,
-        )
+    spec = METHODS[method.name]
+    sensitivity = spec.sensitivity(method.k)
+    q = args.q if spec.subsampled(method) else 1.0
+    dp = method.dp
+    if dp.sigma is not None:
+        calibration = _account(args, sensitivity, dp.sigma, q, n_val, dp.delta)
     else:
         calibration = calibrate_sigma_for_budget(
-            sensitivity,
-            args.epsilon,
-            args.delta,
-            q=q,
-            mechanisms=n_val,
-            grid_step=args.grid_step,
-            truncation_tail=args.truncation_tail,
+            sensitivity, dp.epsilon, dp.delta, q, n_val, args.grid_step, args.truncation_tail
         )
-    params = DpParams(
-        delta=args.delta, sigma=calibration.sigma, q=q, seed=substream_seed(args.seed, 9)
-    )
-    return params, calibration
+    params = DpParams(delta=dp.delta, sigma=calibration.sigma, q=q, seed=dp.seed)
+    return replace(method, dp=params), calibration
 
 
 def _cmd_dp_value(args: argparse.Namespace) -> int:
-    if args.baseline is not None:
-        args.method = args.baseline
-    if not args.method.startswith("dp-"):
-        raise ParameterError("dp-value requires a dp method (dp-tknn or dp-knn)")
+    method = _method_config(args)
+    if method.dp is None:
+        private = " or ".join(name for name, spec in METHODS.items() if spec.private)
+        raise ParameterError(f"dp-value requires a dp method ({private})")
     train, dval = _load_datasets(args)
-    params, calibration = _resolve_dp(args, dval.n)
-    method = _method_config(args, params)
+    method, calibration = _resolve_dp(args, method, dval.n)
     result = compute_values(train, dval, method, threads=args.threads)
     report_path = args.report or (args.output + ".account.json")
     _write_json(report_path, _artifact(args, report=calibration.report()))
@@ -324,15 +309,14 @@ def _cmd_dp_value(args: argparse.Namespace) -> int:
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
+    method = _method_config(args)
     train, dval = _load_datasets(args)
     if args.corruption == "flip":
         corrupted, record = flip_labels(train, args.rate, substream_seed(args.seed, 11))
     else:
         corrupted, record = add_feature_noise(train, args.rate, substream_seed(args.seed, 12))
-    dp_params = None
-    if args.method.startswith("dp-"):
-        dp_params, _ = _resolve_dp(args, dval.n)
-    method = _method_config(args, dp_params)
+    if method.dp is not None:
+        method, _ = _resolve_dp(args, method, dval.n)
     report = run_detection(corrupted, record, method, dval, seed=args.seed, threads=args.threads)
     print(f"detection wall time: {report.wall_time:.3f}s", file=sys.stderr)
     _write_json(
@@ -347,6 +331,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
 
 def _cmd_attack(args: argparse.Namespace) -> int:
+    method = _method_config(args)
     spec = _parse_kv(args.synthetic, "--synthetic")
     if "d" not in spec:
         raise ParameterError("--synthetic requires d=<dimension>")
@@ -358,18 +343,12 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     lo = args.members + args.nonmembers
     shadow = pool.subset(range(lo, lo + args.shadow_pool))
     zvals = pool.subset(range(lo + args.shadow_pool, total))
-    metric = DistanceMetric.parse(args.metric)
-    c = pool.num_classes
-    if args.method == "knn":
-        scorer = knn_value_scorer(KnnConfig(args.k, metric), c)
-    elif args.method == "tknn":
-        scorer = tknn_value_scorer(TknnConfig(args.tau, metric), c)
-    else:
-        params, _ = _resolve_dp(args, args.n_val)
-        scorer = dp_tknn_value_scorer(TknnConfig(args.tau, metric), c, params.sigma, params.q, args.delta)
+    if method.dp is not None:
+        method, _ = _resolve_dp(args, method, args.n_val)
     cfg = MiaConfig(
         shadow_count=args.shadow_count, shadow_size=args.shadow_size, seed=args.seed
     )
+    scorer = value_scorer(method)
     lams, labels = mia_lambdas(scorer, members, nonmembers, shadow, members, cfg, zvals)
     score = auroc(lams, labels)
     _write_json(
@@ -408,26 +387,32 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_account(args: argparse.Namespace) -> int:
+def _account(
+    args: argparse.Namespace,
+    sensitivity: float,
+    sigma: float,
+    q: float,
+    mechanisms: int,
+    delta: float,
+) -> CalibrationResult:
+    """The accountant's composed epsilon for releases at a fixed sigma."""
     eps, composed = composed_epsilon(
-        args.sensitivity,
-        args.sigma,
-        args.q,
-        args.mechanisms,
-        args.delta,
-        args.grid_step,
-        args.truncation_tail,
+        sensitivity, sigma, q, mechanisms, delta, args.grid_step, args.truncation_tail
     )
-    report = CalibrationResult(
-        sigma=args.sigma,
+    return CalibrationResult(
+        sigma=sigma,
         epsilon=eps,
-        mechanisms=args.mechanisms,
-        q=args.q,
-        delta=args.delta,
+        mechanisms=mechanisms,
+        q=q,
+        delta=delta,
         grid_step=args.grid_step,
         truncated_mass=composed.truncated_mass,
-    ).report()
-    _write_json(args.output, _artifact(args, report=report))
+    )
+
+
+def _cmd_account(args: argparse.Namespace) -> int:
+    report = _account(args, args.sensitivity, args.sigma, args.q, args.mechanisms, args.delta)
+    _write_json(args.output, _artifact(args, report=report.report()))
     return 0
 
 

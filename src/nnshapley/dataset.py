@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import csv
 import json
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -244,6 +245,37 @@ def validation_chunks(n_val: int, n_train: int) -> list[tuple[int, int]]:
     """Shared chunking of a validation set so every scorer sees the same splits."""
     rows = max(1, min(_SCORE_CHUNK_MAX_ROWS, _SCORE_CHUNK_ELEMS // max(n_train, 1)))
     return [(lo, min(lo + rows, n_val)) for lo in range(0, n_val, rows)]
+
+
+def sum_over_validation(
+    ds: Dataset,
+    dval: Dataset,
+    metric: DistanceMetric,
+    chunk_sum: Callable[[int, int, np.ndarray | None], np.ndarray],
+    threads: int = 1,
+) -> np.ndarray:
+    """Sum of the per-point score vectors over the validation set, shape (N,).
+
+    Rejects an empty validation set, computes the training norms once and
+    calls ``chunk_sum(lo, hi, norms)`` for each :func:`validation_chunks`
+    slice, on up to ``threads`` workers when there is more than one chunk.
+    Each chunk's (N,) sum is added to the running total in chunk order, so the
+    result is bit-identical at any ``threads``. A DP release passes
+    ``threads=1`` so that its keyed noise streams are drawn in order.
+    """
+    if dval.n == 0:
+        raise ParameterError("validation set must be nonempty")
+    chunks = validation_chunks(dval.n, ds.n)
+    norms = training_norms(metric, ds.features)
+    total = np.zeros(ds.n)
+    if threads > 1 and len(chunks) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            for part in pool.map(lambda bounds: chunk_sum(*bounds, norms), chunks):
+                total += part
+    else:
+        for lo, hi in chunks:
+            total += chunk_sum(lo, hi, norms)
+    return total
 
 
 def load_csv(

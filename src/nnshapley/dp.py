@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import TAG_NOISE, TAG_SUBSAMPLE, stream
-from .dataset import Dataset, distance_matrix, training_norms, validation_chunks
+from .dataset import Dataset, distance_matrix, sum_over_validation
 from .errors import ParameterError
 from .knn import KnnConfig, knn_score_matrix, knn_shapley_scores
 from .tknn import NeighborCounts, TknnConfig, tknn_gather, tknn_shapley_from_counts
@@ -173,13 +173,10 @@ def dp_tknn_shapley_all(
     :func:`dp_tknn_score_from_privatized` for the four flag pairs, and the
     same kernel as the non-private release spreads it over the owners.
     """
-    if dval.n == 0:
-        raise ParameterError("validation set must be nonempty")
     sigma = params.resolve_sigma(COUNTS_SENSITIVITY)
-    norms = training_norms(cfg.metric, ds.features)
-    total = np.zeros(ds.n)
     released: list[PrivatizedCounts] = []
-    for lo, hi in validation_chunks(dval.n, ds.n):
+
+    def chunk_sum(lo: int, hi: int, norms: np.ndarray | None) -> np.ndarray:
         dist = distance_matrix(cfg.metric, ds.features, dval.features[lo:hi], norms)
         within = dist <= cfg.tau
         match = ds.labels[None, :] == dval.labels[lo:hi][:, None]
@@ -201,7 +198,10 @@ def dp_tknn_shapley_all(
                 table[row, nb, m] = dp_tknn_score_from_privatized(
                     priv, True, bool(nb), bool(m), num_classes
                 )
-        total += tknn_gather(table, within, match, in_nb).sum(axis=0)
+        return tknn_gather(table, within, match, in_nb).sum(axis=0)
+
+    # One thread keeps ``released`` and the stream keys in validation order.
+    total = sum_over_validation(ds, dval, cfg.metric, chunk_sum, threads=1)
     descriptor = MethodDescriptor(
         name="dp-tknn-shapley",
         num_classes=num_classes,
@@ -230,23 +230,27 @@ def dp_knn_shapley_all(
     """
     if cfg.variant != "old":
         raise ParameterError("the DP baseline is defined for the old variant only")
-    if dval.n == 0:
-        raise ParameterError("validation set must be nonempty")
     sensitivity = knn_old_sensitivity(cfg.k)
     sigma = params.resolve_sigma(sensitivity)
     n = ds.n
-    total = np.zeros(n)
+
+    def chunk_sum(lo: int, hi: int, norms: np.ndarray | None) -> np.ndarray:
+        chunk = knn_score_matrix(
+            ds, cfg, dval.features[lo:hi], dval.labels[lo:hi], num_classes, norms
+        )
+        for row in range(hi - lo):
+            rng = stream(params.seed, TAG_NOISE, lo + row)
+            chunk[row] += rng.normal(0.0, sigma, n) if sigma > 0.0 else 0.0
+        return chunk.sum(axis=0)
+
     if not subsampled:
-        norms = training_norms(cfg.metric, ds.features)
-        for lo, hi in validation_chunks(dval.n, n):
-            chunk = knn_score_matrix(
-                ds, cfg, dval.features[lo:hi], dval.labels[lo:hi], num_classes, norms
-            )
-            for row in range(hi - lo):
-                rng = stream(params.seed, TAG_NOISE, lo + row)
-                chunk[row] += rng.normal(0.0, sigma, n) if sigma > 0.0 else 0.0
-            total += chunk.sum(axis=0)
+        total = sum_over_validation(ds, dval, cfg.metric, chunk_sum, threads=1)
     else:
+        # One recursion per owner and validation point, so there is no chunk
+        # matrix to share; the total is kept per point in validation order.
+        if dval.n == 0:
+            raise ParameterError("validation set must be nonempty")
+        total = np.zeros(n)
         for v in range(dval.n):
             zval = dval.point(v)
             noise_rng = stream(params.seed, TAG_NOISE, v)

@@ -11,13 +11,17 @@ import numpy as np
 
 from ._rng import TAG_DATA, stream
 from .dataset import CorruptionRecord, Dataset, DistanceMetric, generate_gaussian_synthetic
-from .dp import DpParams, dp_knn_shapley_all, dp_tknn_shapley_all
+from .dp import (
+    COUNTS_SENSITIVITY,
+    DpParams,
+    dp_knn_shapley_all,
+    dp_tknn_shapley_all,
+    knn_old_sensitivity,
+)
 from .errors import ParameterError
 from .knn import KnnConfig, knn_shapley_all
 from .tknn import TknnConfig, tknn_shapley_all
 from .valuation import MethodDescriptor, ValuationResult
-
-METHOD_NAMES = ("tknn", "knn", "knn-old", "dp-tknn", "dp-knn")
 
 
 def auroc(scores: np.ndarray, positives: np.ndarray) -> float:
@@ -45,7 +49,10 @@ def auroc(scores: np.ndarray, positives: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class MethodConfig:
-    """Which valuation to run, with its hyperparameters and optional DP budget."""
+    """Which valuation to run, with its hyperparameters and optional DP budget.
+
+    ``k`` and ``tau`` are validated whichever method reads them.
+    """
 
     name: str
     k: int = 5
@@ -55,10 +62,70 @@ class MethodConfig:
     dp_subsampled: bool = False
 
     def __post_init__(self) -> None:
-        if self.name not in METHOD_NAMES:
-            raise ParameterError(f"unknown method {self.name!r}; expected one of {METHOD_NAMES}")
-        if self.name.startswith("dp-") and self.dp is None:
+        if self.name not in METHODS:
+            raise ParameterError(f"unknown method {self.name!r}; expected one of {tuple(METHODS)}")
+        if METHODS[self.name].private and self.dp is None:
             raise ParameterError(f"method {self.name!r} requires DP parameters")
+        KnnConfig(self.k, self.metric)
+        TknnConfig(self.tau, self.metric)
+
+
+# Each runner looks its driver up as a module global at call time, so anything
+# that rebinds a driver here (a tracer, a test double) sees the call.
+def _run_tknn(train: Dataset, dval: Dataset, m: MethodConfig, threads: int) -> ValuationResult:
+    cfg = TknnConfig(m.tau, m.metric)
+    return tknn_shapley_all(train, cfg, dval, train.num_classes, threads)
+
+
+def _run_knn(train: Dataset, dval: Dataset, m: MethodConfig, threads: int) -> ValuationResult:
+    cfg = KnnConfig(m.k, m.metric, "refined")
+    return knn_shapley_all(train, cfg, dval, train.num_classes, threads)
+
+
+def _run_knn_old(train: Dataset, dval: Dataset, m: MethodConfig, threads: int) -> ValuationResult:
+    cfg = KnnConfig(m.k, m.metric, "old")
+    return knn_shapley_all(train, cfg, dval, train.num_classes, threads)
+
+
+def _run_dp_tknn(train: Dataset, dval: Dataset, m: MethodConfig, threads: int) -> ValuationResult:
+    cfg = TknnConfig(m.tau, m.metric)
+    return dp_tknn_shapley_all(train, cfg, dval, train.num_classes, m.dp)[0]
+
+
+def _run_dp_knn(train: Dataset, dval: Dataset, m: MethodConfig, threads: int) -> ValuationResult:
+    cfg = KnnConfig(m.k, m.metric, "old")
+    return dp_knn_shapley_all(train, cfg, dval, train.num_classes, m.dp, m.dp_subsampled)
+
+
+@dataclass(frozen=True)
+class Method:
+    """How to run one method and, for a private one, what the accountant sees.
+
+    ``sensitivity(k)`` is the l2 sensitivity of one release and is None for
+    a non-private method; ``subsampled(m)`` says whether the release
+    Poisson-subsamples at the requested rate q (otherwise it runs at q = 1).
+    """
+
+    run: Callable[[Dataset, Dataset, MethodConfig, int], ValuationResult]
+    sensitivity: Callable[[int], float] | None = None
+    subsampled: Callable[[MethodConfig], bool] = lambda m: False
+
+    @property
+    def private(self) -> bool:
+        return self.sensitivity is not None
+
+
+METHODS: dict[str, Method] = {
+    "tknn": Method(_run_tknn),
+    "knn": Method(_run_knn),
+    "knn-old": Method(_run_knn_old),
+    "dp-tknn": Method(
+        _run_dp_tknn, sensitivity=lambda k: COUNTS_SENSITIVITY, subsampled=lambda m: True
+    ),
+    "dp-knn": Method(
+        _run_dp_knn, sensitivity=knn_old_sensitivity, subsampled=lambda m: m.dp_subsampled
+    ),
+}
 
 
 def compute_values(
@@ -67,27 +134,8 @@ def compute_values(
     method: MethodConfig,
     threads: int = 1,
 ) -> ValuationResult:
-    """Dispatch a full-validation-set valuation run."""
-    c = train.num_classes
-    if method.name == "tknn":
-        return tknn_shapley_all(train, TknnConfig(method.tau, method.metric), dval, c, threads)
-    if method.name == "knn":
-        return knn_shapley_all(train, KnnConfig(method.k, method.metric, "refined"), dval, c, threads)
-    if method.name == "knn-old":
-        return knn_shapley_all(train, KnnConfig(method.k, method.metric, "old"), dval, c, threads)
-    if method.name == "dp-tknn":
-        result, _ = dp_tknn_shapley_all(
-            train, TknnConfig(method.tau, method.metric), dval, c, method.dp
-        )
-        return result
-    return dp_knn_shapley_all(
-        train,
-        KnnConfig(method.k, method.metric, "old"),
-        dval,
-        c,
-        method.dp,
-        subsampled=method.dp_subsampled,
-    )
+    """Run ``method`` over the validation set; private methods use one thread."""
+    return METHODS[method.name].run(train, dval, method, threads)
 
 
 @dataclass(frozen=True)
@@ -154,12 +202,12 @@ def bench_runtime(
         raise ParameterError("training sizes must be ascending")
     if repeats < 3:
         raise ParameterError("at least 3 repeats are required for a stable median")
+    configs = [MethodConfig(name=name, k=k, tau=tau, metric=metric) for name in methods]
     rows: list[dict] = []
     for n in ns:
         train = generate_gaussian_synthetic(int(n), d, seed)
         dval = generate_gaussian_synthetic(n_val, d, seed + 1)
-        for name in methods:
-            method = MethodConfig(name=name, k=k, tau=tau, metric=metric)
+        for method in configs:
             compute_values(train, dval, method)  # untimed warmup
             times = []
             for _ in range(repeats):
@@ -169,7 +217,7 @@ def bench_runtime(
             rows.append(
                 {
                     "n": int(n),
-                    "method": name,
+                    "method": method.name,
                     "median_seconds": float(np.median(times)),
                     "repeats": repeats,
                 }

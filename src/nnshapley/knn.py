@@ -9,19 +9,11 @@ batches that share one distance matrix.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import (
-    Dataset,
-    DistanceMetric,
-    LabeledPoint,
-    distance_matrix,
-    training_norms,
-    validation_chunks,
-)
+from .dataset import Dataset, DistanceMetric, LabeledPoint, distance_matrix, sum_over_validation
 from .errors import ParameterError
 from .valuation import MethodDescriptor, ValuationResult
 
@@ -147,23 +139,11 @@ def knn_shapley_all(
     threads: int = 1,
 ) -> ValuationResult:
     """Exact KNN-Shapley summed over a validation set (linearity)."""
-    if dval.n == 0:
-        raise ParameterError("validation set must be nonempty")
-    chunks = validation_chunks(dval.n, ds.n)
-    norms = training_norms(cfg.metric, ds.features)
 
-    def run_chunk(bounds: tuple[int, int]) -> np.ndarray:
-        lo, hi = bounds
+    def chunk_sum(lo: int, hi: int, norms: np.ndarray | None) -> np.ndarray:
         return knn_score_matrix(
             ds, cfg, dval.features[lo:hi], dval.labels[lo:hi], num_classes, norms
         ).sum(axis=0)
 
-    total = np.zeros(ds.n)
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(run_chunk, chunks):  # chunk order keeps the sum bit-reproducible
-                total += part
-    else:
-        for bounds in chunks:
-            total += run_chunk(bounds)
+    total = sum_over_validation(ds, dval, cfg.metric, chunk_sum, threads)
     return ValuationResult(total, _descriptor(cfg, num_classes), validation_size=dval.n)

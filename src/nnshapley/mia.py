@@ -24,11 +24,8 @@ from ._rng import (
     substream_seed,
 )
 from .dataset import Dataset, LabeledPoint
-from .dp import DpParams, dp_tknn_shapley_all
 from .errors import ParameterError
-from .evaluation import auroc
-from .knn import KnnConfig, knn_shapley_all
-from .tknn import TknnConfig, tknn_shapley_all
+from .evaluation import MethodConfig, auroc, compute_values
 
 # A value scorer maps (context, target, validation set, seed) to the value the
 # server would release for a copy of ``target`` when the rest of the dataset
@@ -161,39 +158,15 @@ def mia_lambdas(
     return np.asarray(lams), np.asarray(labels, dtype=bool)
 
 
-def knn_value_scorer(cfg: KnnConfig, num_classes: int) -> ValueScorer:
-    """Value of the target's copy under (non-private) KNN-Shapley."""
+def value_scorer(method: MethodConfig) -> ValueScorer:
+    """Value of the target's copy under ``method``.
+
+    A private method draws its noise from the seed of each call, with the
+    rest of its DP parameters (a fixed sigma, q and delta) taken as given.
+    """
 
     def score(context: Dataset, target: LabeledPoint, zvals: Dataset, seed: int) -> float:
-        full = context.with_point(target)
-        return float(knn_shapley_all(full, cfg, zvals, num_classes).scores[-1])
-
-    return score
-
-
-def tknn_value_scorer(cfg: TknnConfig, num_classes: int) -> ValueScorer:
-    """Value of the target's copy under (non-private) TKNN-Shapley."""
-
-    def score(context: Dataset, target: LabeledPoint, zvals: Dataset, seed: int) -> float:
-        full = context.with_point(target)
-        return float(tknn_shapley_all(full, cfg, zvals, num_classes).scores[-1])
-
-    return score
-
-
-def dp_tknn_value_scorer(
-    cfg: TknnConfig,
-    num_classes: int,
-    sigma: float,
-    q: float,
-    delta: float,
-) -> ValueScorer:
-    """Value of the target's copy under DP-TKNN-Shapley with fixed noise scale."""
-
-    def score(context: Dataset, target: LabeledPoint, zvals: Dataset, seed: int) -> float:
-        full = context.with_point(target)
-        params = DpParams(delta=delta, sigma=sigma, q=q, seed=seed)
-        result, _ = dp_tknn_shapley_all(full, cfg, zvals, num_classes, params)
-        return float(result.scores[-1])
+        m = method if method.dp is None else replace(method, dp=replace(method.dp, seed=seed))
+        return float(compute_values(context.with_point(target), zvals, m).scores[-1])
 
     return score

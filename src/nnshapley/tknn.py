@@ -26,7 +26,6 @@ same helper, so all of them agree bit for bit.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +37,7 @@ from .dataset import (
     LabeledPoint,
     distance_matrix,
     distances_to,
-    training_norms,
-    validation_chunks,
+    sum_over_validation,
 )
 from .errors import EnumerationLimitError, ParameterError
 from .valuation import MethodDescriptor, SemivalueWeight, ValuationResult
@@ -217,25 +215,15 @@ def tknn_score_matrix(
     return tknn_gather(table, within, match, within)
 
 
-def tknn_shapley_scores(
-    ds: Dataset,
-    cfg: TknnConfig,
-    zval: LabeledPoint,
-    num_classes: int,
-) -> np.ndarray:
-    """Raw score vector for one validation point."""
-    return tknn_score_matrix(
-        ds, cfg, zval.features[None, :], np.array([zval.label]), num_classes
-    )[0]
-
-
 def tknn_shapley_single(
     ds: Dataset,
     cfg: TknnConfig,
     zval: LabeledPoint,
     num_classes: int,
 ) -> ValuationResult:
-    scores = tknn_shapley_scores(ds, cfg, zval, num_classes)
+    scores = tknn_score_matrix(
+        ds, cfg, zval.features[None, :], np.array([zval.label]), num_classes
+    )[0]
     return ValuationResult(scores, _descriptor(cfg, num_classes), validation_size=1)
 
 
@@ -247,25 +235,13 @@ def tknn_shapley_all(
     threads: int = 1,
 ) -> ValuationResult:
     """Exact TKNN-Shapley summed over a validation set."""
-    if dval.n == 0:
-        raise ParameterError("validation set must be nonempty")
-    chunks = validation_chunks(dval.n, ds.n)
-    norms = training_norms(cfg.metric, ds.features)
 
-    def run_chunk(bounds: tuple[int, int]) -> np.ndarray:
-        lo, hi = bounds
+    def chunk_sum(lo: int, hi: int, norms: np.ndarray | None) -> np.ndarray:
         return tknn_score_matrix(
             ds, cfg, dval.features[lo:hi], dval.labels[lo:hi], num_classes, norms
         ).sum(axis=0)
 
-    total = np.zeros(ds.n)
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(run_chunk, chunks):  # chunk order keeps the sum bit-reproducible
-                total += part
-    else:
-        for bounds in chunks:
-            total += run_chunk(bounds)
+    total = sum_over_validation(ds, dval, cfg.metric, chunk_sum, threads)
     return ValuationResult(total, _descriptor(cfg, num_classes), validation_size=dval.n)
 
 

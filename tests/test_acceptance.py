@@ -35,7 +35,7 @@ from nnshapley.dp import (
 )
 from nnshapley.evaluation import MethodConfig, bench_runtime, run_detection, tknn_consistency_check
 from nnshapley.knn import KnnConfig, knn_shapley_scores
-from nnshapley.mia import MiaConfig, dp_tknn_value_scorer, knn_value_scorer, mia_auroc
+from nnshapley.mia import MiaConfig, mia_auroc, value_scorer
 from nnshapley.tknn import TknnConfig, counts_full
 from nnshapley.valuation import (
     aggregate_over_validation,
@@ -313,7 +313,7 @@ def test_criterion_8_membership_inference(attack_setup):
     knn_aurocs = []
     for seed in range(5):
         members, nonmembers, shadow, zvals = attack_setup(seed, 64)
-        scorer = knn_value_scorer(KnnConfig(1, NEGCOS), 2)
+        scorer = value_scorer(MethodConfig("knn", k=1, metric=NEGCOS))
         knn_aurocs.append(
             mia_auroc(scorer, members, nonmembers, shadow, members,
                       MiaConfig(shadow_count=32, seed=seed), zvals)
@@ -326,7 +326,10 @@ def test_criterion_8_membership_inference(attack_setup):
     dp_aurocs = []
     for seed in range(5):
         members, nonmembers, shadow, zvals = attack_setup(seed, 16)
-        scorer = dp_tknn_value_scorer(TknnConfig(-0.5, NEGCOS), 2, cal.sigma, 0.01, 1e-4)
+        scorer = value_scorer(MethodConfig(
+            "dp-tknn", tau=-0.5, metric=NEGCOS,
+            dp=DpParams(delta=1e-4, sigma=cal.sigma, q=0.01),
+        ))
         dp_aurocs.append(
             mia_auroc(scorer, members, nonmembers, shadow, members,
                       MiaConfig(shadow_count=32, seed=seed), zvals)

@@ -205,6 +205,23 @@ class TestDetectCommand:
         assert pa == pb
 
 
+    def test_baseline_replaces_method_and_its_accounting(self, tmp_path):
+        out = tmp_path / "det.json"
+        code = run_cli(
+            ["detect", "--synthetic", "n=200,d=4", "--synthetic-val", "n=10",
+             "--corruption", "flip", "--method", "dp-tknn", "--baseline", "dp-knn",
+             "--sigma", "0.5", "--seed", "2", "--output", str(out)]
+        )
+        assert code == 0
+        payload = json.loads(out.read_text())
+        method = payload["report"]["method"]
+        assert method["name"] == "dp-knn-shapley-old"
+        assert payload["config"]["method"] == "dp-knn"
+        assert method["dp"]["sigma"] == 0.5
+        assert method["dp"]["q"] == 1.0  # dp-knn reads --q only with --dp-subsampled
+        assert method["dp"]["draws"] == 200 * 10
+
+
 class TestAttackCommand:
     def test_small_attack_report(self, tmp_path):
         out = str(tmp_path / "atk.json")
@@ -218,6 +235,45 @@ class TestAttackCommand:
         assert len(payload["report"]["lambda"]) == 16
         assert 0.0 <= payload["report"]["auroc"] <= 1.0
         assert payload["report"]["is_member"].count(True) == 8
+
+
+    def test_baseline_outside_its_dp_methods_exits_2(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["attack", "--synthetic", "d=4", "--baseline", "dp-knn", "--sigma", "1",
+                     "--output", str(tmp_path / "atk.json")])
+        assert exc.value.code == 2
+
+
+_BAD_FLAG_COMMANDS = {
+    "detect": ["detect", "--synthetic", "n=50,d=3", "--corruption", "flip"],
+    "dp-value": ["dp-value", "--synthetic", "n=50,d=3", "--sigma", "1.0"],
+    "attack": ["attack", "--synthetic", "d=3", "--members", "4", "--nonmembers", "4",
+               "--shadow-pool", "10", "--shadow-count", "2", "--n-val", "3"],
+    "bench": ["bench", "--ns", "100", "--nval", "5", "--repeats", "3"],
+}
+
+
+@pytest.mark.parametrize(
+    "method, private, flag",
+    [
+        pytest.param("tknn", "dp-tknn", ["--k", "0"], id="k0"),
+        pytest.param("knn", "dp-knn", ["--tau", "7"], id="tau7"),
+    ],
+)
+@pytest.mark.parametrize("command", list(_BAD_FLAG_COMMANDS))
+def test_bad_hyperparameter_exits_2_before_data(tmp_path, monkeypatch, command, method,
+                                                private, flag):
+    def no_data(*args, **kwargs):
+        raise AssertionError("data generated before the flags were validated")
+
+    monkeypatch.setattr("nnshapley.cli.generate_gaussian_synthetic", no_data)
+    monkeypatch.setattr("nnshapley.evaluation.generate_gaussian_synthetic", no_data)
+    name = private if command == "dp-value" else method
+    method_flag = ["--methods", name] if command == "bench" else ["--method", name]
+    out = tmp_path / "x.out"
+    code = run_cli(_BAD_FLAG_COMMANDS[command] + method_flag + flag + ["--output", str(out)])
+    assert code == 2
+    assert not out.exists()
 
 
 class TestBenchCommand:

@@ -12,6 +12,9 @@ from nnshapley.dataset import (
     flip_labels,
     generate_gaussian_synthetic,
     load_csv,
+    sum_over_validation,
+    training_norms,
+    validation_chunks,
 )
 from nnshapley.errors import DataError, ParameterError
 
@@ -133,6 +136,45 @@ class TestDistance:
         for metric in DistanceMetric:
             mat = distance_matrix(metric, feats, vals)
             assert np.array_equal(mat[:, 3], mat[:, 7])
+
+
+class TestSumOverValidation:
+    @staticmethod
+    def chunk_part(lo, hi, n):
+        # Magnitudes over 16 decades, so the sum depends on the order of terms.
+        rng = np.random.default_rng(lo * 1000 + hi)
+        return rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_chunk_order_sum_at_any_thread_count(self, monkeypatch, threads):
+        monkeypatch.setattr("nnshapley.dataset._SCORE_CHUNK_MAX_ROWS", 3)
+        ds = generate_gaussian_synthetic(30, 4, seed=1)
+        dval = generate_gaussian_synthetic(20, 4, seed=2)
+        chunks = validation_chunks(dval.n, ds.n)
+        assert len(chunks) == 7
+        norms_once = training_norms(DistanceMetric.NEGATIVE_COSINE, ds.features)
+        seen = []
+
+        def chunk_sum(lo, hi, norms):
+            assert np.array_equal(norms, norms_once)
+            seen.append((lo, hi))
+            return self.chunk_part(lo, hi, ds.n)
+
+        total = sum_over_validation(ds, dval, DistanceMetric.NEGATIVE_COSINE, chunk_sum, threads)
+        expected = np.zeros(ds.n)
+        for lo, hi in chunks:
+            expected += self.chunk_part(lo, hi, ds.n)
+        assert np.array_equal(total, expected)
+        assert sorted(seen) == chunks
+
+    def test_empty_validation_set_rejected(self):
+        ds = generate_gaussian_synthetic(10, 3, seed=1)
+
+        def chunk_sum(lo, hi, norms):
+            raise AssertionError("no chunk of an empty validation set")
+
+        with pytest.raises(ParameterError, match="nonempty"):
+            sum_over_validation(ds, ds.subset([]), DistanceMetric.EUCLIDEAN, chunk_sum)
 
 
 class TestSynthetic:

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from nnshapley.dataset import DistanceMetric, flip_labels, generate_gaussian_synthetic
-from nnshapley.dp import DpParams
+from nnshapley.dp import DpParams, dp_knn_shapley_all, dp_tknn_shapley_all
 from nnshapley.errors import ParameterError
 from nnshapley.evaluation import (
+    METHODS,
     MethodConfig,
     auroc,
     bench_runtime,
@@ -12,6 +13,8 @@ from nnshapley.evaluation import (
     run_detection,
     tknn_consistency_check,
 )
+from nnshapley.knn import KnnConfig, knn_shapley_all
+from nnshapley.tknn import TknnConfig, tknn_shapley_all
 
 
 class TestAuroc:
@@ -49,6 +52,40 @@ class TestAuroc:
             auroc(np.array([1.0, 2.0]), [0, 1])
 
 
+NEGCOS = DistanceMetric.NEGATIVE_COSINE
+_DP = DpParams(delta=1e-4, sigma=0.3, q=0.5, seed=4)
+
+# Registry case -> (config, the same run as a direct driver call).
+REGISTRY_CASES = {
+    "tknn": (
+        MethodConfig("tknn", tau=-0.4),
+        lambda t, v: tknn_shapley_all(t, TknnConfig(-0.4), v, 2),
+    ),
+    "knn": (
+        MethodConfig("knn", k=3),
+        lambda t, v: knn_shapley_all(t, KnnConfig(3, NEGCOS, "refined"), v, 2),
+    ),
+    "knn-old": (
+        MethodConfig("knn-old", k=3),
+        lambda t, v: knn_shapley_all(t, KnnConfig(3, NEGCOS, "old"), v, 2),
+    ),
+    "dp-tknn": (
+        MethodConfig("dp-tknn", tau=-0.4, dp=_DP),
+        lambda t, v: dp_tknn_shapley_all(t, TknnConfig(-0.4), v, 2, _DP)[0],
+    ),
+    "dp-knn": (
+        MethodConfig("dp-knn", k=3, dp=_DP),
+        lambda t, v: dp_knn_shapley_all(t, KnnConfig(3, NEGCOS, "old"), v, 2, _DP),
+    ),
+    "dp-knn-subsampled": (
+        MethodConfig("dp-knn", k=3, dp=_DP, dp_subsampled=True),
+        lambda t, v: dp_knn_shapley_all(
+            t, KnnConfig(3, NEGCOS, "old"), v, 2, _DP, subsampled=True
+        ),
+    ),
+}
+
+
 class TestMethodConfig:
     def test_unknown_name_rejected(self):
         with pytest.raises(ParameterError):
@@ -58,20 +95,31 @@ class TestMethodConfig:
         with pytest.raises(ParameterError):
             MethodConfig(name="dp-tknn")
 
-    def test_dispatch_matches_direct_calls(self):
-        from nnshapley.knn import KnnConfig, knn_shapley_all
-        from nnshapley.tknn import TknnConfig, tknn_shapley_all
-
+    @pytest.mark.parametrize("name", list(REGISTRY_CASES))
+    def test_dispatch_matches_direct_calls(self, name):
         train = generate_gaussian_synthetic(60, 4, seed=1)
         dval = generate_gaussian_synthetic(10, 4, seed=2)
-        res = compute_values(train, dval, MethodConfig("tknn", tau=-0.4))
-        direct = tknn_shapley_all(train, TknnConfig(-0.4), dval, 2)
-        assert np.array_equal(res.scores, direct.scores)
-        res = compute_values(train, dval, MethodConfig("knn-old", k=3))
-        direct = knn_shapley_all(
-            train, KnnConfig(3, DistanceMetric.NEGATIVE_COSINE, "old"), dval, 2
-        )
-        assert np.array_equal(res.scores, direct.scores)
+        method, direct = REGISTRY_CASES[name]
+        res = compute_values(train, dval, method)
+        assert res.method == direct(train, dval).method
+        assert np.array_equal(res.scores, direct(train, dval).scores)
+
+    @pytest.mark.parametrize("name", list(REGISTRY_CASES))
+    def test_empty_validation_set_rejected(self, name):
+        train = generate_gaussian_synthetic(20, 3, seed=1)
+        empty = generate_gaussian_synthetic(4, 3, seed=2).subset([])
+        method, _ = REGISTRY_CASES[name]
+        with pytest.raises(ParameterError, match="validation set"):
+            compute_values(train, empty, method)
+
+    def test_registry_covers_every_case(self):
+        assert {method.name for method, _ in REGISTRY_CASES.values()} == set(METHODS)
+
+    @pytest.mark.parametrize("flags", [{"k": 0}, {"tau": 7.0}])
+    @pytest.mark.parametrize("name", ["tknn", "knn", "knn-old"])
+    def test_hyperparameters_validated_for_every_method(self, name, flags):
+        with pytest.raises(ParameterError):
+            MethodConfig(name, **flags)
 
 
 class TestDetection:

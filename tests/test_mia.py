@@ -2,18 +2,16 @@ import numpy as np
 import pytest
 
 from nnshapley.dataset import DistanceMetric, generate_gaussian_synthetic
+from nnshapley.dp import DpParams
 from nnshapley.errors import ParameterError
-from nnshapley.knn import KnnConfig
+from nnshapley.evaluation import MethodConfig
 from nnshapley.mia import (
     MiaConfig,
-    dp_tknn_value_scorer,
-    knn_value_scorer,
     likelihood_ratio,
     mia_auroc,
     mia_score,
-    tknn_value_scorer,
+    value_scorer,
 )
-from nnshapley.tknn import TknnConfig
 
 NEGCOS = DistanceMetric.NEGATIVE_COSINE
 
@@ -58,7 +56,7 @@ class TestLikelihoodRatio:
 class TestMiaScore:
     def test_seeded_determinism(self):
         members, _, shadow, zvals = split_pool(3)
-        scorer = knn_value_scorer(KnnConfig(1, NEGCOS), 2)
+        scorer = value_scorer(MethodConfig("knn", k=1, metric=NEGCOS))
         cfg = MiaConfig(shadow_count=4, shadow_size=20, seed=9)
         a = mia_score(scorer, members.point(0), shadow, members, cfg, zvals)
         b = mia_score(scorer, members.point(0), shadow, members, cfg, zvals)
@@ -66,7 +64,7 @@ class TestMiaScore:
 
     def test_verdict_fields_populated(self):
         members, _, shadow, zvals = split_pool(4)
-        scorer = tknn_value_scorer(TknnConfig(-0.3, NEGCOS), 2)
+        scorer = value_scorer(MethodConfig("tknn", tau=-0.3, metric=NEGCOS))
         cfg = MiaConfig(shadow_count=4, shadow_size=15, seed=1)
         verdict = mia_score(scorer, members.point(1), shadow, members, cfg, zvals)
         assert np.isfinite(verdict.lam)
@@ -74,7 +72,7 @@ class TestMiaScore:
 
     def test_insufficient_shadow_pool(self):
         members, _, shadow, zvals = split_pool(5)
-        scorer = knn_value_scorer(KnnConfig(1, NEGCOS), 2)
+        scorer = value_scorer(MethodConfig("knn", k=1, metric=NEGCOS))
         cfg = MiaConfig(shadow_count=4, shadow_size=shadow.n + 1, seed=1)
         with pytest.raises(ParameterError, match="shadow"):
             mia_score(scorer, members.point(0), shadow, members, cfg, zvals)
@@ -101,7 +99,7 @@ class TestMiaAuroc:
         # Small version of the attack scenario: members sit inside the server
         # dataset, so the crafted copy collides with them and drops in value.
         members, nonmembers, shadow, zvals = split_pool(7, n_targets=24, shadow=120, nval=24)
-        scorer = knn_value_scorer(KnnConfig(1, NEGCOS), 2)
+        scorer = value_scorer(MethodConfig("knn", k=1, metric=NEGCOS))
         cfg = MiaConfig(shadow_count=16, shadow_size=members.n, seed=5)
         score = mia_auroc(scorer, members, nonmembers, shadow, members, cfg, zvals)
         assert score > 0.5
@@ -113,7 +111,10 @@ class TestMiaAuroc:
         for sigma in (0.5, 1.0):
             per_seed = []
             for seed in range(3):
-                scorer = dp_tknn_value_scorer(TknnConfig(-0.3, NEGCOS), 2, sigma, 1.0, 1e-4)
+                scorer = value_scorer(MethodConfig(
+                    "dp-tknn", tau=-0.3, metric=NEGCOS,
+                    dp=DpParams(delta=1e-4, sigma=sigma, q=1.0),
+                ))
                 cfg = MiaConfig(shadow_count=8, shadow_size=members.n, seed=seed)
                 per_seed.append(
                     mia_auroc(scorer, members, nonmembers, shadow, members, cfg, zvals)
@@ -124,6 +125,6 @@ class TestMiaAuroc:
     def test_empty_population_rejected(self):
         members, nonmembers, shadow, zvals = split_pool(9)
         empty = members.subset([])
-        scorer = knn_value_scorer(KnnConfig(1, NEGCOS), 2)
+        scorer = value_scorer(MethodConfig("knn", k=1, metric=NEGCOS))
         with pytest.raises(ParameterError):
             mia_auroc(scorer, empty, nonmembers, shadow, members, MiaConfig(seed=0), zvals)
