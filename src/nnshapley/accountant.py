@@ -158,10 +158,12 @@ def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if min(a.shape[0], b.shape[0]) < 64:
         out = np.convolve(a, b)
     else:
-        # Imported here so that commands without accounting never load scipy.signal.
-        from scipy.signal import fftconvolve
+        # Imported here so that commands without accounting never load scipy.fft.
+        from scipy.fft import irfft, next_fast_len, rfft
 
-        out = fftconvolve(a, b)
+        n = a.shape[0] + b.shape[0] - 1
+        size = next_fast_len(n, True)
+        out = irfft(rfft(a, size) * rfft(b, size), size)[:n]
     np.maximum(out, 0.0, out=out)  # FFT rounding can leave tiny negatives
     return out
 
@@ -310,7 +312,7 @@ def analytic_gaussian_epsilon(sensitivity: float, sigma: float, delta: float) ->
         raise ParameterError("sensitivity and sigma must be positive")
     if not 0.0 < delta < 1.0:
         raise ParameterError("delta must lie in (0, 1)")
-    from scipy.optimize import brentq  # deferred like fftconvolve in _convolve
+    from scipy.optimize import brentq  # deferred: only this reference needs scipy.optimize
 
     mu = sensitivity / sigma
 

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NoReturn, Sequence
 
 import numpy as np
 
@@ -289,60 +290,55 @@ def load_csv(
     The label column is selected by zero-based index (negative allowed) or,
     when the file has a header row, by name. A header is assumed whenever the
     first row contains any cell that does not parse as a number.
+
+    Each line is one row. Blank lines and rows whose cells are all whitespace
+    are skipped. A cell is a C ``strtod`` number with optional surrounding
+    whitespace and optional double quotes; there is no comment character, and
+    a quoted cell ends on its own line. Labels must be integer-valued.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if row and any(cell.strip() for cell in row)]
-    if not rows:
+    # read_text turns \r\n and \r into \n: the row ends csv.reader recognizes.
+    # str.splitlines would also split at \x0c, \x1c-\x1e, \x85 and \u2028.
+    lines = [
+        line for line in path.read_text(encoding="utf-8").split("\n") if not _is_blank_row(line)
+    ]
+    if not lines:
         raise DataError(f"empty file: {path}")
 
     header: list[str] | None = None
-    if any(not _is_number(cell) for cell in rows[0]):
-        header = [cell.strip() for cell in rows[0]]
-        rows = rows[1:]
-        if not rows:
+    first = _csv_row(lines[0])
+    if any(not _is_number(cell) for cell in first):
+        header = [cell.strip() for cell in first]
+        lines = lines[1:]
+        if not lines:
             raise DataError(f"file has a header but no data rows: {path}")
 
-    arity = len(rows[0])
-    if isinstance(label_column, str):
-        if header is None:
-            raise DataError(
-                f"label column {label_column!r} requested by name but the file has no header"
-            )
-        if label_column not in header:
-            raise DataError(f"label column {label_column!r} not found in header {header}")
-        label_idx = header.index(label_column)
-    else:
-        label_idx = label_column if label_column >= 0 else arity + label_column
-        if not 0 <= label_idx < arity:
-            raise DataError(f"label column index {label_column} out of range for {arity} columns")
+    # comments=None: loadtxt would otherwise drop everything after a '#'.
+    try:
+        table = np.loadtxt(
+            lines, delimiter=",", quotechar='"', comments=None, dtype=np.float64, ndmin=2
+        )
+    except ValueError as exc:
+        _raise_first_bad_row(lines, label_column, header, str(exc))
+    if table.shape[0] != len(lines):
+        _raise_first_bad_row(lines, label_column, header, "a quoted cell spans more than one line")
+    label_idx = _label_index(label_column, header, table.shape[1])
+    raw_labels = table[:, label_idx]
+    if not np.all(np.isfinite(raw_labels) & (raw_labels == np.floor(raw_labels))):
+        _raise_first_bad_row(lines, label_column, header, "a label is not an integer")
 
-    features = []
-    labels = []
-    for lineno, row in enumerate(rows, start=1):
-        if len(row) != arity:
-            raise DataError(f"ragged row {lineno}: expected {arity} fields, got {len(row)}")
-        try:
-            labels.append(_parse_label(row[label_idx]))
-        except ValueError:
-            raise DataError(
-                f"row {lineno}: label {row[label_idx]!r} does not parse to an integer"
-            ) from None
-        try:
-            features.append([float(cell) for j, cell in enumerate(row) if j != label_idx])
-        except ValueError:
-            raise DataError(f"row {lineno}: non-numeric feature value") from None
-
-    feats = np.asarray(features, dtype=np.float64)
-    lab = np.asarray(labels, dtype=np.int64)
+    feats = np.delete(table, label_idx, axis=1)
     finite = np.isfinite(feats).all(axis=1)
     if not finite.all():
         bad = int(np.flatnonzero(~finite)[0]) + 1
         raise DataError(f"row {bad}: non-finite feature value")
-    if lab.min() < 0:
+    if raw_labels.min() < 0:
         raise DataError("labels must be nonnegative integers")
+    if raw_labels.max() >= 2.0**63:
+        raise DataError("labels must be below 2**63")
+    lab = raw_labels.astype(np.int64)
     if l2_normalize:
         norms = np.linalg.norm(feats, axis=1)
         if np.any(norms == 0.0):
@@ -358,6 +354,49 @@ def load_csv(
         bad = int(np.flatnonzero(lab >= c)[0]) + 1
         raise DataError(f"row {bad}: label {lab[bad - 1]} is not below the class count {c}")
     return Dataset(feats, lab, c)
+
+
+def _label_index(label_column: int | str, header: list[str] | None, arity: int) -> int:
+    if isinstance(label_column, str):
+        if header is None:
+            raise DataError(
+                f"label column {label_column!r} requested by name but the file has no header"
+            )
+        if label_column not in header:
+            raise DataError(f"label column {label_column!r} not found in header {header}")
+        label_idx = header.index(label_column)
+    else:
+        label_idx = label_column if label_column >= 0 else arity + label_column
+    if not 0 <= label_idx < arity:
+        raise DataError(f"label column {label_column!r} out of range for {arity} columns")
+    return label_idx
+
+
+def _raise_first_bad_row(
+    lines: list[str], label_column: int | str, header: list[str] | None, fallback: str
+) -> NoReturn:
+    """Name the first malformed data row, checked as ragged, then label, then feature.
+
+    Runs only after the table parse has failed or found a non-integer label,
+    and always raises: ``fallback`` when no row breaks these checks.
+    """
+    rows = [_csv_row(line) for line in lines]
+    arity = len(rows[0])
+    label_idx = _label_index(label_column, header, arity)
+    for lineno, row in enumerate(rows, start=1):
+        if len(row) != arity:
+            raise DataError(f"ragged row {lineno}: expected {arity} fields, got {len(row)}")
+        try:
+            _parse_label(row[label_idx])
+        except ValueError:
+            raise DataError(
+                f"row {lineno}: label {row[label_idx]!r} does not parse to an integer"
+            ) from None
+        try:
+            [float(cell) for j, cell in enumerate(row) if j != label_idx]
+        except ValueError:
+            raise DataError(f"row {lineno}: non-numeric feature value") from None
+    raise DataError(fallback)
 
 
 def generate_gaussian_synthetic(n: int, d: int, seed: int) -> Dataset:
@@ -403,6 +442,20 @@ def _corruption_count(n: int, rate: float) -> int:
     if not 0.0 < rate < 1.0:
         raise ParameterError("corruption rate must lie strictly between 0 and 1")
     return int(np.floor(rate * n + 0.5))
+
+
+_CELL_TEXT = re.compile(r'[^\s,"]')  # a character csv.reader keeps in some cell
+
+
+def _is_blank_row(line: str) -> bool:
+    """Whether csv.reader reads ``line`` as no row or as whitespace-only cells."""
+    if _CELL_TEXT.search(line):
+        return False
+    return '"' not in line or not any(cell.strip() for cell in _csv_row(line))
+
+
+def _csv_row(line: str) -> list[str]:
+    return next(csv.reader([line]), [])
 
 
 def _is_number(cell: str) -> bool:

@@ -10,7 +10,7 @@ independent noise per owner per validation point instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -230,6 +230,8 @@ def dp_knn_shapley_all(
     """
     if cfg.variant != "old":
         raise ParameterError("the DP baseline is defined for the old variant only")
+    if not subsampled:
+        params = replace(params, q=1.0)  # the rate this release runs at, for the manifest
     sensitivity = knn_old_sensitivity(cfg.k)
     sigma = params.resolve_sigma(sensitivity)
     n = ds.n

@@ -29,9 +29,6 @@ def auroc(scores: np.ndarray, positives: np.ndarray) -> float:
 
     ``positives`` is a boolean mask or an index collection into ``scores``.
     """
-    # Imported here so that a plain valuation never loads scipy.stats.
-    from scipy.stats import rankdata
-
     scores = np.asarray(scores, dtype=np.float64)
     pos = np.asarray(positives)
     if pos.dtype != bool:
@@ -42,7 +39,17 @@ def auroc(scores: np.ndarray, positives: np.ndarray) -> float:
     n_neg = scores.shape[0] - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ParameterError("AUROC needs at least one positive and one negative")
-    ranks = rankdata(scores, method="average")
+    if np.isnan(scores).any():
+        return float("nan")
+    # 1-based ranks, ties given their group's average: exact half-integers,
+    # so the sum below is exact.
+    order = np.argsort(scores, kind="mergesort")
+    ordered = scores[order]
+    first = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    dense = np.cumsum(first)
+    count = np.append(np.flatnonzero(first), scores.size)
+    ranks = np.empty(scores.size)
+    ranks[order] = 0.5 * (count[dense] + count[dense - 1] + 1)
     u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 

@@ -336,6 +336,30 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_attack_and_dp_runs_leave_stats_signal_optimize_unloaded(self, tmp_path):
+        attack = ["attack", "--synthetic", "d=3", "--members", "4", "--nonmembers", "4",
+                  "--shadow-pool", "10", "--shadow-count", "2", "--n-val", "3"]
+        runs = [
+            attack + ["--method", "knn", "--k", "1"],
+            attack + ["--method", "dp-tknn", "--epsilon", "1", "--q", "0.5"],
+            ["dp-value", "--synthetic", "n=50,d=3", "--synthetic-val", "n=4",
+             "--method", "dp-tknn", "--epsilon", "1", "--q", "0.5"],
+        ]
+        runs = [args + ["--output", str(tmp_path / f"{i}.json")] for i, args in enumerate(runs)]
+        code = (
+            "import json, sys; from nnshapley.cli import main; "
+            "codes = [main(args) for args in json.loads(sys.argv[1])]; "
+            "print(codes, sorted(m for m in ('scipy.signal', 'scipy.optimize', 'scipy.stats') "
+            "if m in sys.modules))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(runs)], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[0, 0, 0] []"
+        report = json.loads((tmp_path / "2.json.account.json").read_text())["report"]
+        assert report["mechanisms"] == 4
+
     def test_usage_error_is_exit_2(self):
         proc = subprocess.run(
             [sys.executable, "-m", "nnshapley.cli", "value"],

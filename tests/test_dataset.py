@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,98 @@ class TestLoadCsv:
     def test_float_integral_label_accepted(self, tmp_path):
         path = write(tmp_path, "a.csv", "1,2,1.0\n3,4,0\n")
         assert list(load_csv(path).labels) == [1, 0]
+
+    @pytest.mark.parametrize(
+        "text, kwargs",
+        [
+            pytest.param("\n1,2,0\n\n   \n , ,\t\n3,4,1\n\n", {}, id="blank-rows-skipped"),
+            pytest.param('"",""\n1,2,0\n" ",,\n3,4,1\n', {}, id="quoted-blank-rows-skipped"),
+            pytest.param('"1","2","0"\n" 3 ",4,"1"\n', {}, id="quoted-cells"),
+            pytest.param("1,2,0\r\n3,4,1\r\n", {}, id="crlf"),
+            pytest.param("1,2,0\r3,4,1\r", {}, id="cr"),
+            pytest.param(" 1 , 2 ,0\n3,\t4 , 1 \n", {}, id="spaces-around-numbers"),
+            pytest.param(
+                '"x","y, z","the label"\n1,2,0\n3,4,1\n',
+                {"label_column": "the label"},
+                id="quoted-header-label-by-name",
+            ),
+            pytest.param("0,1,2\n1.0,3,4e0\n", {"label_column": 0}, id="integer-valued-label"),
+        ],
+    )
+    def test_accepted_grammar(self, tmp_path, text, kwargs):
+        ds = load_csv(write(tmp_path, "a.csv", text), **kwargs)
+        assert ds.features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert ds.labels.tolist() == [0, 1]
+
+    @pytest.mark.parametrize(
+        "text, kwargs, message",
+        [
+            pytest.param(
+                "1,2,0\n3,4,1 # x\n", {}, "row 2: label '1 # x' does not parse", id="hash-in-row"
+            ),
+            pytest.param(
+                "1,2,0\n#3,4,1\n", {}, "row 2: non-numeric feature", id="hash-leading-row"
+            ),
+            pytest.param(
+                "x,y,label\n\n1,2,0\n \n3,4\n", {}, "ragged row 2: expected 3 fields, got 2",
+                id="ragged",
+            ),
+            pytest.param(
+                "x,y,label\n1,2,0\n,,\n\nabc,4,1\n", {}, "row 2: non-numeric feature",
+                id="non-numeric-feature",
+            ),
+            pytest.param(
+                "x,y,label\n1,2,0\n\n3,4,0.5\n", {}, "row 2: label '0.5' does not parse",
+                id="fractional-label",
+            ),
+            pytest.param(
+                "\n1,2,0\n \n3,4, abc\n", {}, "row 2: label ' abc' does not parse",
+                id="text-label",
+            ),
+            pytest.param(
+                "1,2,0\n3,4,inf\n", {}, "row 2: label 'inf' does not parse", id="inf-label"
+            ),
+            pytest.param(
+                "1,2,0\n3,,1\n5,6,1.5\n", {}, "row 2: non-numeric feature", id="first-bad-row-wins"
+            ),
+            pytest.param('1,"2\n",0\n', {}, "ragged row 2", id="quote-across-lines"),
+            pytest.param("1_000,2,0\n3,4,1\n", {}, "1_000", id="digit-group-underscore"),
+            pytest.param("1,\u0663,0\n3,4,1\n", {}, "\u0663", id="non-ascii-digit"),
+            pytest.param("1,2,1e20\n3,4,0\n", {}, r"below 2\*\*63", id="label-beyond-int64"),
+            pytest.param(
+                "a,b,c,label\n1,2\n", {"label_column": "label"},
+                "label column 'label' out of range for 2 columns", id="named-label-past-row-end",
+            ),
+        ],
+    )
+    def test_rejected_rows_keep_their_numbers(self, tmp_path, text, kwargs, message):
+        path = write(tmp_path, "a.csv", text)
+        with pytest.raises(DataError, match=message):
+            load_csv(path, **kwargs)
+
+    def test_one_table_parse_and_csv_reader_on_the_first_line_only(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(name, real):
+            return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counted("loadtxt", np.loadtxt))
+        monkeypatch.setattr(csv, "reader", counted("reader", csv.reader))
+        path = write(tmp_path, "a.csv", "x,y,label\n" + "1,2,0\n\n3,4,1\n" * 50)
+        assert load_csv(path).n == 100
+        assert calls == ["reader", "loadtxt"]  # the header decision, then the table
+
+    def test_values_parse_bitwise_like_float(self, tmp_path, rng):
+        values = rng.standard_normal(600) * 10.0 ** rng.uniform(-320, 300, 600)
+        cells = ["%.17g" % x for x in values] + [
+            "-0.0", "5e-324", "-1e-310", "1e-400", "2.4703282292062328e-324",
+            "1.00000000000000011102230246251565404236316680908203125",
+            "1.7976931348623158e308", "9007199254740993", "0.1e1",
+        ]
+        rows = [cells[i:i + 3] for i in range(0, len(cells), 3)]
+        text = "".join(",".join(row) + f",{i % 2}\n" for i, row in enumerate(rows))
+        expected = np.array([[float(cell) for cell in row] for row in rows])
+        assert load_csv(write(tmp_path, "a.csv", text)).features.tobytes() == expected.tobytes()
 
 
 class TestDistance:

@@ -251,6 +251,15 @@ class TestDpKnnBaseline:
         )
         assert res.method.dp["draws"] == 25 * 4
 
+    def test_manifest_reports_the_rate_the_release_ran_at(self):
+        ds = generate_gaussian_synthetic(20, 3, seed=1)
+        dval = generate_gaussian_synthetic(3, 3, seed=2)
+        cfg = KnnConfig(3, EUCLID, "old")
+        params = DpParams(delta=1e-4, sigma=0.1, q=0.5, seed=3)
+        assert dp_knn_shapley_all(ds, cfg, dval, 2, params).method.dp["q"] == 1.0
+        sub = dp_knn_shapley_all(ds, cfg, dval, 2, params, subsampled=True)
+        assert sub.method.dp["q"] == 0.5
+
     def test_subsampled_baseline_runs_and_degenerates(self):
         ds = generate_gaussian_synthetic(20, 3, seed=1)
         dval = generate_gaussian_synthetic(3, 3, seed=2)
