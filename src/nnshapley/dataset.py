@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import re
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
@@ -19,7 +20,7 @@ from typing import Callable, Iterable, NoReturn, Sequence
 import numpy as np
 
 from ._rng import TAG_CORRUPT, TAG_DATA, stream
-from .errors import DataError, ParameterError
+from .errors import DataError, DataWarning, ParameterError
 
 
 class DistanceMetric(str, Enum):
@@ -295,6 +296,10 @@ def load_csv(
     are skipped. A cell is a C ``strtod`` number with optional surrounding
     whitespace and optional double quotes; there is no comment character, and
     a quoted cell ends on its own line. Labels must be integer-valued.
+
+    Without ``num_classes`` the class count is one more than the largest
+    label. If some class below it has no training point, a :class:`DataWarning`
+    names the largest label, since one stray label can set a huge class count.
     """
     path = Path(path)
     if not path.exists():
@@ -345,7 +350,18 @@ def load_csv(
             bad = int(np.flatnonzero(norms == 0.0)[0]) + 1
             raise DataError(f"row {bad}: cannot L2-normalize a zero feature vector")
         feats = feats / norms[:, None]
-    c = int(lab.max()) + 1 if num_classes is None else int(num_classes)
+    if num_classes is None:
+        c = int(lab.max()) + 1
+        empty = c - np.unique(lab).size
+        if empty:
+            warnings.warn(
+                f"the largest label, {c - 1}, makes {c} classes, {empty} of them with no point "
+                f"in {path.name}; pass num_classes (--num-classes) if that is not intended",
+                DataWarning,
+                stacklevel=2,
+            )
+    else:
+        c = int(num_classes)
     if c < 2:
         raise DataError(
             "dataset declares fewer than 2 classes; pass num_classes explicitly to override"

@@ -5,6 +5,10 @@ class DataError(ValueError):
     """Malformed or inconsistent input data (CSV parse failures, zero vectors, ...)."""
 
 
+class DataWarning(UserWarning):
+    """Input data that loads but is likely not what was meant (a stray label, ...)."""
+
+
 class ParameterError(ValueError):
     """A parameter outside its documented domain."""
 

@@ -5,6 +5,11 @@ variant scores the soft-label utility that normalizes by min(K, |S|); the
 older variant normalizes by K always, which is what makes its global
 sensitivity tractable for the DP baseline. Validation points are processed in
 batches that share one distance matrix.
+
+Ties: training points at equal distance from a validation point are ordered
+by training index, as a stable sort would order them and as the enumeration
+oracle does. The order, and with it every score, is the same whatever the
+validation chunking or thread count.
 """
 
 from __future__ import annotations
@@ -31,6 +36,59 @@ class KnnConfig:
             raise ParameterError(f"unknown KNN-Shapley variant: {self.variant!r}")
 
 
+def _index_ordered_argsort(dist: np.ndarray) -> np.ndarray:
+    """Row-wise ``np.argsort(dist, axis=1, kind="stable")``, computed faster.
+
+    The default sort is several times faster than the stable one but leaves
+    equal distances in no set order. Each run of equal sorted distances is
+    then put back in training-index order by one sort of ``run * N + index``
+    keys over the tied positions only. NaNs, which every sort kind puts last,
+    count as equal to each other.
+    """
+    order = np.argsort(dist, axis=1)
+    v, n = dist.shape
+    flat = order.reshape(-1)
+    starts = np.arange(0, v * n, n)[:, None]  # flat position of each row's start
+    order += starts  # flat positions for one take, then indices again
+    ranked = dist.take(flat)
+    order -= starts
+    # after[p]: entry p equals the entry before it in its row. The spare entry
+    # at the end lets after[:-1] | after[1:] mark both ends of each equal pair.
+    after = np.empty(v * n + 1, dtype=bool)
+    np.equal(ranked[1:], ranked[:-1], out=after[1:-1])
+    if np.isnan(ranked[n - 1 :: n]).any():
+        after[1:-1] |= np.isnan(ranked[1:]) & np.isnan(ranked[:-1])
+    del ranked
+    after[::n] = False  # each row's start, and the spare entry
+    if not after.any():
+        return order
+    tied = np.flatnonzero(after[:-1] | after[1:])
+    keys = np.cumsum(~after[tied]) * n  # runs numbered row by row, in order
+    keys += flat[tied]
+    keys.sort()
+    flat[tied] = keys % n
+    return order
+
+
+def _suffix_scores(match: np.ndarray, step: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """The sorted-order recursion shared by both variants.
+
+    ``scores[:, j] = last + sum_{t >= j} step[t] * (match[:, t] - match[:, t + 1])``,
+    with the sum accumulated from the far end. The label difference is -1, 0
+    or 1, so each term is exactly ``-step[t]``, ``+0.0`` or ``step[t]``.
+    """
+    v, n = match.shape
+    scores = np.empty((v, n))
+    scores[:, -1] = last
+    if n > 1:
+        rest = scores[:, -2::-1]  # columns n-2, ..., 0
+        diff = match[:, :-1].view(np.int8) - match[:, 1:].view(np.int8)
+        np.multiply(diff[:, ::-1], step[::-1], out=rest)
+        np.cumsum(rest, axis=1, out=rest)
+        rest += last[:, None]
+    return scores
+
+
 def _refined_sorted_batch(match: np.ndarray, k: int, num_classes: int) -> np.ndarray:
     """Scores in sorted (closest-first) order, vectorized over rows.
 
@@ -38,37 +96,27 @@ def _refined_sorted_batch(match: np.ndarray, k: int, num_classes: int) -> np.nda
     rank-dependent correction applied only when N > K; together these
     reproduce the enumeration oracle for every N, including N <= K.
     """
-    v, n = match.shape
-    m = match.astype(np.float64)
+    n = match.shape[1]
+    hit = match[:, -1].astype(np.float64)
     inv_c = 1.0 / num_classes
     if n == 1:
-        return m - inv_c
+        return (hit - inv_c)[:, None]
     s2 = float(np.sum(1.0 / np.arange(2, min(k, n) + 1)))  # sum_{j=1}^{min(K,N)-1} 1/(j+1)
-    phi_last = (m[:, -1] - m[:, :-1].mean(axis=1)) * s2 / n + (m[:, -1] - inv_c) / n
+    mean = match[:, :-1].sum(axis=1) / (n - 1)
+    phi_last = (hit - mean) * s2 / n + (hit - inv_c) / n
     i = np.arange(1, n, dtype=np.float64)
     bracket = np.full(n - 1, float(np.sum(1.0 / np.arange(1, min(k, n - 1) + 1))))
     if n > k:
         bracket = bracket + (np.minimum(i, k) * (n - 1) / i - k) / k
-    diffs = (m[:, :-1] - m[:, 1:]) / (n - 1) * bracket[None, :]
-    scores = np.empty((v, n))
-    scores[:, -1] = phi_last
-    scores[:, :-1] = phi_last[:, None] + np.cumsum(diffs[:, ::-1], axis=1)[:, ::-1]
-    return scores
+    return _suffix_scores(match, (1.0 / (n - 1)) * bracket, phi_last)
 
 
 def _old_sorted_batch(match: np.ndarray, k: int) -> np.ndarray:
     """Sorted-order scores for the older recursion (utility divides by K)."""
-    v, n = match.shape
-    m = match.astype(np.float64)
-    phi_last = m[:, -1] / max(k, n)
-    if n == 1:
-        return phi_last[:, None]
+    n = match.shape[1]
     i = np.arange(1, n, dtype=np.float64)
-    diffs = (m[:, :-1] - m[:, 1:]) / k * (np.minimum(k, i) / i)[None, :]
-    scores = np.empty((v, n))
-    scores[:, -1] = phi_last
-    scores[:, :-1] = phi_last[:, None] + np.cumsum(diffs[:, ::-1], axis=1)[:, ::-1]
-    return scores
+    step = (1.0 / k) * (np.minimum(k, i) / i)
+    return _suffix_scores(match, step, match[:, -1] / max(k, n))
 
 
 def knn_score_matrix(
@@ -86,8 +134,9 @@ def knn_score_matrix(
     """
     if ds.n == 0:
         raise ParameterError("KNN-Shapley is undefined on an empty dataset")
-    dist = distance_matrix(cfg.metric, ds.features, val_features, train_norms)
-    order = np.argsort(dist, axis=1, kind="stable")
+    order = _index_ordered_argsort(
+        distance_matrix(cfg.metric, ds.features, val_features, train_norms)
+    )
     match = ds.labels[order] == np.asarray(val_labels)[:, None]
     if cfg.variant == "refined":
         sorted_scores = _refined_sorted_batch(match, cfg.k, num_classes)

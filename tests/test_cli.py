@@ -83,6 +83,24 @@ class TestValueCommand:
         assert code == 3
         assert not out.exists()
 
+    def test_stray_label_warns_on_stderr(self, tmp_path):
+        # A subprocess, so the warning reaches stderr as Python prints it by
+        # default rather than pytest's warning capture.
+        train = write_csv(tmp_path, "train.csv", "0.1,0.2,0\n0.3,0.1,1\n0.5,0.5,1e12\n0.2,0.9,1\n")
+        val = write_csv(tmp_path, "val.csv", "0.1,0.2,0\n")
+        out = tmp_path / "x.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "nnshapley.cli", "value", "--train", train, "--val", val,
+             "--method", "knn", "--output", str(out)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0
+        err = proc.stderr
+        assert "DataWarning" in err
+        assert "1000000000000" in err and "999999999998" in err and "--num-classes" in err
+        assert json.loads(out.read_text())["result"]["method"]["num_classes"] == 10**12 + 1
+
     def test_synthetic_shorthand(self, tmp_path):
         out = str(tmp_path / "s.json")
         assert run_cli(["value", "--synthetic", "n=50,d=4", "--synthetic-val", "n=10",

@@ -18,7 +18,7 @@ from nnshapley.dataset import (
     training_norms,
     validation_chunks,
 )
-from nnshapley.errors import DataError, ParameterError
+from nnshapley.errors import DataError, DataWarning, ParameterError
 
 
 def write(tmp_path, name, text):
@@ -44,6 +44,17 @@ class TestLoadCsv:
         path = write(tmp_path, "a.csv", "1,0\n2,2\n")
         ds = load_csv(path)
         assert ds.num_classes == 3  # label 1 unused
+
+    def test_stray_label_warns(self, tmp_path):
+        path = write(tmp_path, "a.csv", "1,0\n2,1\n3,1e12\n4,1\n")
+        with pytest.warns(DataWarning, match=r"1000000000000.*999999999998 of them.*num_classes"):
+            ds = load_csv(path)
+        assert ds.num_classes == 10**12 + 1
+
+    def test_no_warning_when_every_class_occurs_or_is_declared(self, tmp_path, recwarn):
+        load_csv(write(tmp_path, "a.csv", "1,0\n2,2\n3,1\n"))
+        load_csv(write(tmp_path, "b.csv", "1,0\n2,2\n"), num_classes=3)
+        assert not [w for w in recwarn if issubclass(w.category, DataWarning)]
 
     def test_header_and_label_by_name(self, tmp_path):
         path = write(tmp_path, "a.csv", "x,y,label\n1,2,0\n3,4,1\n")

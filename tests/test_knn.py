@@ -1,9 +1,26 @@
 import numpy as np
 import pytest
 
-from nnshapley.dataset import Dataset, DistanceMetric, LabeledPoint, generate_gaussian_synthetic
+import nnshapley.dataset as dataset_module
+from nnshapley.dataset import (
+    Dataset,
+    DistanceMetric,
+    LabeledPoint,
+    distance_matrix,
+    generate_gaussian_synthetic,
+    training_norms,
+    validation_chunks,
+)
 from nnshapley.errors import ParameterError
-from nnshapley.knn import KnnConfig, knn_shapley_all, knn_shapley_single
+from nnshapley.knn import (
+    KnnConfig,
+    _index_ordered_argsort,
+    _old_sorted_batch,
+    _refined_sorted_batch,
+    knn_score_matrix,
+    knn_shapley_all,
+    knn_shapley_single,
+)
 from nnshapley.valuation import (
     aggregate_over_validation,
     knn_old_utility,
@@ -148,3 +165,99 @@ class TestPermutationInvariance:
         res = knn_shapley_single(shuffled, cfg, zval, 2).scores
         # scores keyed by owner: res[i] belongs to original index perm[i]
         assert np.max(np.abs(res - base[perm])) < 1e-12
+
+
+def tied_instance(rng, n_base=40, copies=(2, 3, 5), d=3, c=3):
+    """Training rows with exact copies that carry different labels, plus a
+    validation set that contains copies of training rows (Euclidean distance
+    exactly 0.0 to each copy) and fresh points."""
+    base = rng.standard_normal((n_base, d))
+    rows = [base]
+    for i, m in enumerate(copies):
+        rows.append(np.repeat(base[i : i + 1], m, axis=0))  # runs of m + 1 equal rows
+    feats = np.vstack(rows)[rng.permutation(n_base + sum(copies))]
+    labels = rng.integers(0, c, feats.shape[0])
+    ds = Dataset(feats, labels, c)
+    val_feats = np.vstack([feats[rng.integers(0, ds.n, 9)], rng.standard_normal((9, d))])
+    dval = Dataset(val_feats, rng.integers(0, c, val_feats.shape[0]), c)
+    return ds, dval
+
+
+def stable_reference(ds, cfg, dval, c):
+    """knn_shapley_all rebuilt on the stable sort, chunk by chunk, row by row."""
+    norms = training_norms(cfg.metric, ds.features)
+    total = np.zeros(ds.n)
+    for lo, hi in validation_chunks(dval.n, ds.n):
+        dist = distance_matrix(cfg.metric, ds.features, dval.features[lo:hi], norms)
+        order = np.argsort(dist, axis=1, kind="stable")
+        match = ds.labels[order] == dval.labels[lo:hi, None]
+        if cfg.variant == "refined":
+            sorted_scores = _refined_sorted_batch(match, cfg.k, c)
+        else:
+            sorted_scores = _old_sorted_batch(match, cfg.k)
+        part = np.zeros(ds.n)
+        for row in range(hi - lo):
+            part[order[row]] += sorted_scores[row]
+        total += part
+    return total
+
+
+class TestTieOrder:
+    def test_matches_stable_argsort(self, rng):
+        for _ in range(300):
+            v, n = (int(x) for x in rng.integers(1, 50, size=2))
+            dist = rng.integers(0, int(rng.integers(1, 8)), size=(v, n)).astype(float)
+            for value, share in ((np.nan, 0.2), (-0.0, 0.3), (np.inf, 0.2)):
+                if rng.random() < 0.3:
+                    dist[rng.random((v, n)) < share] = value
+            assert np.array_equal(
+                _index_ordered_argsort(dist), np.argsort(dist, axis=1, kind="stable")
+            )
+
+    @pytest.mark.parametrize("metric", [EUCLID, NEGCOS])
+    def test_forced_ties_across_chunks_match_stable_sort(self, rng, metric, monkeypatch):
+        ds, dval = tied_instance(rng)
+        monkeypatch.setattr(dataset_module, "_SCORE_CHUNK_ELEMS", 4 * ds.n)
+        chunks = validation_chunks(dval.n, ds.n)
+        assert len(chunks) > 3
+        norms = training_norms(metric, ds.features)
+        tied_runs = 0
+        for lo, hi in chunks:
+            dist = distance_matrix(metric, ds.features, dval.features[lo:hi], norms)
+            stable = np.argsort(dist, axis=1, kind="stable")
+            assert np.array_equal(_index_ordered_argsort(dist), stable)
+            ranked = np.take_along_axis(dist, stable, axis=1)
+            tied_runs += int(np.sum(ranked[:, 2:] == ranked[:, :-2]))  # runs of 3 or more
+        assert tied_runs > 0
+        if metric is EUCLID:
+            own = distance_matrix(metric, ds.features, dval.features[:9])
+            assert np.all(np.sum(own == 0.0, axis=1) >= 1)
+        for variant in ("refined", "old"):
+            cfg = KnnConfig(3, metric, variant)
+            expected = stable_reference(ds, cfg, dval, 3)
+            for threads in (1, 2):
+                got = knn_shapley_all(ds, cfg, dval, 3, threads=threads).scores
+                assert got.tobytes() == expected.tobytes()
+
+
+class TestInvariance:
+    @pytest.mark.parametrize("metric", [EUCLID, NEGCOS])
+    def test_same_label_duplicates_score_identically(self, rng, metric):
+        base = rng.standard_normal((30, 4))
+        labels = rng.integers(0, 2, 30)
+        src = np.array([0, 0, 5, 7, 7, 7])
+        ds = Dataset(np.vstack([base, base[src]]), np.concatenate([labels, labels[src]]), 2)
+        dval = generate_gaussian_synthetic(12, 4, seed=5)
+        for variant in ("refined", "old"):
+            scores = knn_shapley_all(ds, KnnConfig(4, metric, variant), dval, 2).scores
+            for j, i in enumerate(src):
+                assert scores[30 + j].tobytes() == scores[i].tobytes()
+
+    def test_chunk_rows_equal_single_row_calls(self, rng):
+        ds, dval = tied_instance(rng)
+        for variant in ("refined", "old"):
+            cfg = KnnConfig(3, EUCLID, variant)
+            chunk = knn_score_matrix(ds, cfg, dval.features, dval.labels, 3)
+            for v in range(dval.n):
+                row = knn_score_matrix(ds, cfg, dval.features[v : v + 1], dval.labels[v : v + 1], 3)
+                assert row[0].tobytes() == chunk[v].tobytes()
