@@ -372,6 +372,22 @@ def composed_epsilon(
     return epsilon_at_delta(composed, AccountantQuery(delta)), composed
 
 
+def account_sigma(
+    sensitivity: float,
+    sigma: float,
+    q: float,
+    mechanisms: int,
+    delta: float,
+    grid_step: float = DEFAULT_GRID_STEP,
+    truncation_tail: float = DEFAULT_TRUNCATION_TAIL,
+) -> CalibrationResult:
+    """The accountant's report for m (subsampled) Gaussian releases at a fixed sigma."""
+    eps, composed = composed_epsilon(
+        sensitivity, sigma, q, mechanisms, delta, grid_step, truncation_tail
+    )
+    return CalibrationResult(sigma, eps, mechanisms, q, delta, grid_step, composed.truncated_mass)
+
+
 def calibrate_sigma_for_budget(
     sensitivity: float,
     epsilon: float,
@@ -386,6 +402,7 @@ def calibrate_sigma_for_budget(
 
     Bisection on sigma against the PLD accountant itself, so the returned
     sigma is guaranteed consistent with the reported (pessimistic) epsilon.
+    The report is the one computed when the returned sigma was accepted.
     """
     if epsilon <= 0.0:
         raise ParameterError("epsilon must be positive")
@@ -393,44 +410,38 @@ def calibrate_sigma_for_budget(
     per_eps = epsilon / mechanisms
     per_delta = delta / (2.0 * mechanisms)
     hi = sensitivity * math.sqrt(2.0 * math.log(1.25 / per_delta)) / per_eps
+    accepted: CalibrationResult | None = None
 
-    def eps_at(sig: float) -> float:
+    def meets_budget(sig: float) -> bool:
+        nonlocal accepted
         if sensitivity / sig > _LOSS_RATIO_GUARD:
-            return float("inf")
+            return False
         try:
-            value, _ = composed_epsilon(
+            result = account_sigma(
                 sensitivity, sig, q, mechanisms, delta, grid_step, truncation_tail
             )
         except AccountingError:
-            return float("inf")
-        return value
+            return False
+        if result.epsilon > epsilon:
+            return False
+        accepted = result  # every accepted sigma becomes the new upper end
+        return True
 
-    while eps_at(hi) > epsilon:
+    while not meets_budget(hi):
         hi *= 2.0
         if hi > 1e9 * sensitivity:
             raise AccountingError("failed to bracket a sufficient sigma")
     lo = hi / 2.0
-    while lo > sensitivity * 1e-6 and eps_at(lo) <= epsilon:
+    while lo > sensitivity * 1e-6 and meets_budget(lo):
         hi = lo
         lo /= 2.0
     while hi / lo > 1.0 + rel_tol:
         mid = math.sqrt(lo * hi)
-        if eps_at(mid) <= epsilon:
+        if meets_budget(mid):
             hi = mid
         else:
             lo = mid
-    achieved, composed = composed_epsilon(
-        sensitivity, hi, q, mechanisms, delta, grid_step, truncation_tail
-    )
-    return CalibrationResult(
-        sigma=hi,
-        epsilon=achieved,
-        mechanisms=mechanisms,
-        q=q,
-        delta=delta,
-        grid_step=grid_step,
-        truncated_mass=composed.truncated_mass,
-    )
+    return accepted
 
 
 def _check_pld_args(sensitivity: float, sigma: float, grid_step: float, tail: float) -> None:

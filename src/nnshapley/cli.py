@@ -21,8 +21,8 @@ from .accountant import (
     DEFAULT_GRID_STEP,
     DEFAULT_TRUNCATION_TAIL,
     CalibrationResult,
+    account_sigma,
     calibrate_sigma_for_budget,
-    composed_epsilon,
 )
 from .dataset import (
     Dataset,
@@ -279,7 +279,9 @@ def _resolve_dp(
     q = args.q if spec.subsampled(method) else 1.0
     dp = method.dp
     if dp.sigma is not None:
-        calibration = _account(args, sensitivity, dp.sigma, q, n_val, dp.delta)
+        calibration = account_sigma(
+            sensitivity, dp.sigma, q, n_val, dp.delta, args.grid_step, args.truncation_tail
+        )
     else:
         calibration = calibrate_sigma_for_budget(
             sensitivity, dp.epsilon, dp.delta, q, n_val, args.grid_step, args.truncation_tail
@@ -387,31 +389,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _account(
-    args: argparse.Namespace,
-    sensitivity: float,
-    sigma: float,
-    q: float,
-    mechanisms: int,
-    delta: float,
-) -> CalibrationResult:
-    """The accountant's composed epsilon for releases at a fixed sigma."""
-    eps, composed = composed_epsilon(
-        sensitivity, sigma, q, mechanisms, delta, args.grid_step, args.truncation_tail
-    )
-    return CalibrationResult(
-        sigma=sigma,
-        epsilon=eps,
-        mechanisms=mechanisms,
-        q=q,
-        delta=delta,
-        grid_step=args.grid_step,
-        truncated_mass=composed.truncated_mass,
-    )
-
-
 def _cmd_account(args: argparse.Namespace) -> int:
-    report = _account(args, args.sensitivity, args.sigma, args.q, args.mechanisms, args.delta)
+    report = account_sigma(
+        args.sensitivity, args.sigma, args.q, args.mechanisms, args.delta,
+        args.grid_step, args.truncation_tail,
+    )
     _write_json(args.output, _artifact(args, report=report.report()))
     return 0
 

@@ -198,7 +198,8 @@ def training_norms(metric: DistanceMetric, features: np.ndarray) -> np.ndarray |
     computes these once and passes them to every chunk.
     """
     if metric is DistanceMetric.NEGATIVE_COSINE:
-        return np.linalg.norm(features, axis=1)
+        with np.errstate(over="ignore"):  # distance_matrix rejects an overflowed norm
+            return np.linalg.norm(features, axis=1)
     return None
 
 
@@ -223,9 +224,13 @@ def distance_matrix(
         raise ParameterError("distance requires vectors of equal dimension")
     if metric is DistanceMetric.NEGATIVE_COSINE:
         norms = training_norms(metric, features) if train_norms is None else train_norms
-        vnorms = np.linalg.norm(val_features, axis=1)
+        with np.errstate(over="ignore"):  # an overflowed norm is rejected below
+            vnorms = np.linalg.norm(val_features, axis=1)
+            bound = norms.max() * vnorms.max()  # bounds every |dot product|
         if np.any(norms == 0.0) or np.any(vnorms == 0.0):
             raise DataError("negative-cosine distance is undefined for zero vectors")
+        if not np.isfinite(bound):
+            raise DataError("negative-cosine distance overflows; L2-normalize the features")
         return -(val_features @ features.T) / (vnorms[:, None] * norms[None, :])
     # Euclidean by direct differences, chunked to bound the (v, N, d) tensor;
     # exact duplicates subtract to exactly zero, unlike the norm-expansion trick.
@@ -345,10 +350,14 @@ def load_csv(
         raise DataError("labels must be below 2**63")
     lab = raw_labels.astype(np.int64)
     if l2_normalize:
-        norms = np.linalg.norm(feats, axis=1)
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(feats, axis=1)
         if np.any(norms == 0.0):
             bad = int(np.flatnonzero(norms == 0.0)[0]) + 1
             raise DataError(f"row {bad}: cannot L2-normalize a zero feature vector")
+        if not np.all(np.isfinite(norms)):
+            bad = int(np.flatnonzero(~np.isfinite(norms))[0]) + 1
+            raise DataError(f"row {bad}: feature norm overflows; cannot L2-normalize")
         feats = feats / norms[:, None]
     if num_classes is None:
         c = int(lab.max()) + 1

@@ -3,8 +3,10 @@
 The private TKNN path privatizes the counting triple once per validation
 point (three Gaussian draws total) and derives every owner's leave-one-out
 triple from that single privatized statistic; releasing all scores this way
-is joint-DP and therefore collusion resistant. The KNN baseline adds
-independent noise per owner per validation point instead.
+is joint-DP and therefore collusion resistant. That post-processing (decrement,
+clamp, closed form) is :func:`nnshapley.tknn.tknn_value_table`, the kernel of
+the non-private release. The KNN baseline adds independent noise per owner
+per validation point instead.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from ._rng import TAG_NOISE, TAG_SUBSAMPLE, stream
 from .dataset import Dataset, distance_matrix, sum_over_validation
 from .errors import ParameterError
 from .knn import KnnConfig, knn_score_matrix, knn_shapley_scores
-from .tknn import NeighborCounts, TknnConfig, tknn_gather, tknn_shapley_from_counts
+from .tknn import NeighborCounts, TknnConfig, clamp_counts, tknn_gather, tknn_value_table
 from .valuation import MethodDescriptor, ValuationResult
 
 COUNTS_SENSITIVITY = math.sqrt(3.0)  # l2 sensitivity of the counting triple
@@ -89,15 +91,6 @@ class PrivatizedCounts:
     raw_noise_draws: tuple[float, float, float]
 
 
-def _clamp_counts(c: float, c_x: float, c_zplus: float) -> NeighborCounts:
-    # Clamp order keeps the triple self-consistent: c first, then c_x against
-    # c + 1, then c_zplus against c_x - 1.
-    ci = max(int(c), 0)
-    cxi = min(max(int(c_x), 1), ci + 1)
-    czi = min(max(int(c_zplus), 0), cxi - 1)
-    return NeighborCounts(ci, cxi, czi)
-
-
 def privatize_counts(
     counts: NeighborCounts,
     sigma: float,
@@ -109,8 +102,8 @@ def privatize_counts(
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     draws = gen.normal(0.0, sigma, 3) if sigma > 0.0 else np.zeros(3)
     noisy = np.rint(np.asarray(counts.as_tuple(), dtype=np.float64) + draws)
-    clamped = _clamp_counts(noisy[0], noisy[1], noisy[2])
-    return PrivatizedCounts(clamped, (float(draws[0]), float(draws[1]), float(draws[2])))
+    c, c_x, c_zplus = clamp_counts(*noisy)
+    return PrivatizedCounts(NeighborCounts(int(c), int(c_x), int(c_zplus)), tuple(draws.tolist()))
 
 
 def _poisson_mask(n: int, q: float, rng: np.random.Generator | int) -> np.ndarray:
@@ -127,20 +120,6 @@ def poisson_subsample(ds: Dataset, q: float, rng: np.random.Generator | int) -> 
     return ds.subset(_poisson_mask(ds.n, q, rng))
 
 
-def privatized_loo_counts(
-    priv: PrivatizedCounts,
-    in_sampled_neighborhood: bool,
-    label_match: bool,
-) -> NeighborCounts:
-    """Leave-one-out decrements applied to a privatized triple, re-clamped."""
-    dec = 1 if in_sampled_neighborhood else 0
-    return _clamp_counts(
-        priv.counts.c - 1,
-        priv.counts.c_x - dec,
-        priv.counts.c_zplus - (dec if label_match else 0),
-    )
-
-
 def dp_tknn_score_from_privatized(
     priv: PrivatizedCounts,
     within_threshold: bool,
@@ -151,10 +130,13 @@ def dp_tknn_score_from_privatized(
     """Deterministic post-processing of one privatized triple into one score.
 
     Any party holding the privatized triple and a point's own attributes can
-    reproduce that point's released score bit-for-bit.
+    reproduce that point's released score bit-for-bit: it is the point's
+    entry of the one-row :func:`tknn_value_table` of the triple.
     """
-    loo = privatized_loo_counts(priv, in_sampled_neighborhood, label_match)
-    return tknn_shapley_from_counts(loo, label_match, within_threshold, num_classes)
+    if not within_threshold:
+        return 0.0
+    table = tknn_value_table(*priv.counts.as_tuple(), num_classes)
+    return float(table[int(in_sampled_neighborhood), int(label_match)])
 
 
 def dp_tknn_shapley_all(
@@ -169,9 +151,10 @@ def dp_tknn_shapley_all(
     Per validation point: one Poisson subsample (when q < 1), one counting
     pass, one 3-draw privatization, then every owner's score by O(1)
     decrements on the shared privatized triple. Exactly 3 * |dval| Gaussian
-    draws regardless of N. Each row's value table holds
-    :func:`dp_tknn_score_from_privatized` for the four flag pairs, and the
-    same kernel as the non-private release spreads it over the owners.
+    draws regardless of N. Per chunk, the counts are taken over all rows at
+    once, each row's triple is privatized from its own keyed stream, and the
+    released triples go through :func:`tknn_value_table` and
+    :func:`tknn_gather`, the kernel of the non-private release.
     """
     sigma = params.resolve_sigma(COUNTS_SENSITIVITY)
     released: list[PrivatizedCounts] = []
@@ -180,24 +163,21 @@ def dp_tknn_shapley_all(
         dist = distance_matrix(cfg.metric, ds.features, dval.features[lo:hi], norms)
         within = dist <= cfg.tau
         match = ds.labels[None, :] == dval.labels[lo:hi][:, None]
-        in_nb = within.copy() if params.q < 1.0 else within
-        table = np.empty((hi - lo, 2, 2))
-        for row in range(hi - lo):
-            v = lo + row
-            c = ds.n
-            if params.q < 1.0:
-                keep = _poisson_mask(ds.n, params.q, stream(params.seed, TAG_SUBSAMPLE, v))
-                in_nb[row] &= keep
-                c = int(keep.sum())
-            counts = NeighborCounts(
-                c, 1 + int(in_nb[row].sum()), int((in_nb[row] & match[row]).sum())
-            )
-            priv = privatize_counts(counts, sigma, stream(params.seed, TAG_NOISE, v))
-            released.append(priv)
-            for nb, m in np.ndindex(2, 2):
-                table[row, nb, m] = dp_tknn_score_from_privatized(
-                    priv, True, bool(nb), bool(m), num_classes
-                )
+        c = np.full(hi - lo, ds.n)
+        in_nb = within
+        if params.q < 1.0:
+            keys = (stream(params.seed, TAG_SUBSAMPLE, v) for v in range(lo, hi))
+            keep = np.array([_poisson_mask(ds.n, params.q, key) for key in keys])
+            in_nb = within & keep
+            c = keep.sum(axis=1)
+        counts = np.stack([c, 1 + in_nb.sum(axis=1), (in_nb & match).sum(axis=1)], axis=1)
+        privs = [
+            privatize_counts(NeighborCounts(*row), sigma, stream(params.seed, TAG_NOISE, v))
+            for v, row in enumerate(counts.tolist(), start=lo)
+        ]
+        released.extend(privs)
+        triples = np.array([p.counts.as_tuple() for p in privs], dtype=np.float64)
+        table = tknn_value_table(*triples.T, num_classes)
         return tknn_gather(table, within, match, in_nb).sum(axis=0)
 
     # One thread keeps ``released`` and the stream keys in validation order.

@@ -15,12 +15,14 @@ matter would lower the sensitivity to sqrt(2), but it changes the paper's
 mechanism, and the acceptance suite pins three draws per validation point
 (criterion 4); it is out of scope.
 
-Within one validation row every in-threshold point takes one of a few values,
-chosen by its label match and, for a subsampled private release, by whether
-it lies in the sampled neighbourhood. :func:`tknn_gather` turns one such
-value table per row into the score matrix; the plain and the private release
-both go through it, and the scalar paths compute each table entry with the
-same helper, so all of them agree bit for bit.
+Within one validation row every in-threshold point takes one of four values,
+chosen by its label match and by whether it lies in the row's neighbourhood
+(the sampled one, for a subsampled private release). :func:`tknn_value_table`
+computes those four values for many rows at once from each row's full-data
+triple, exact or privatized: it applies the leave-one-out decrements, clamps
+and evaluates the closed form elementwise. :func:`tknn_gather` spreads the
+table over the owners. The plain and the private release and both scalar
+entry points go through this one kernel, so all of them agree bit for bit.
 """
 
 from __future__ import annotations
@@ -107,7 +109,7 @@ def counts_leave_one_out(
         raise ParameterError(f"inconsistent leave-one-out decrement: {exc}") from exc
 
 
-def a2_term(c: int, c_x: int) -> float:
+def a2_term(c, c_x):
     """A2(c, c_x) = sum_{k=0}^{c} (1 - C(c-k, c_x)/C(c+1, c_x)) / (k+1)  -  1  =  H_{c_x} - 1.
 
     Substituting j = k + 1 turns the binomial part into
@@ -118,19 +120,44 @@ def a2_term(c: int, c_x: int) -> float:
     c only bounds the admissible c_x, so it reaches the scores only through
     the clamping of a privatized triple; a two-count release is out of scope
     because the three-draw mechanism is pinned by acceptance criterion 4.
+    Elementwise over arrays; raises if any element is out of range.
     """
-    if c_x < 1 or c_x > c + 1:
+    if np.any((c_x < 1) | (c_x > c + 1)):
         raise ParameterError("a2_term needs 1 <= c_x <= c + 1")
-    return float(digamma(c_x + 1.0)) + np.euler_gamma - 1.0
+    return digamma(c_x + 1.0) + np.euler_gamma - 1.0
 
 
-def _point_value(c_x: int, c_zplus: int, label_match: bool, inv_c: float, a2: float) -> float:
-    """Value of an in-threshold point from its leave-one-out c_x, c_zplus and A2."""
-    m = 1.0 if label_match else 0.0
-    base = (m - inv_c) / c_x
-    if c_x < 2:
-        return base
-    return base + (m / c_x - c_zplus / (c_x * (c_x - 1.0))) * a2
+def clamp_counts(c, c_x, c_zplus):
+    """Clamp (noisy) counts to a valid triple, elementwise.
+
+    The order keeps the triple self-consistent: c >= 0 first, then
+    1 <= c_x <= c + 1, then 0 <= c_zplus <= c_x - 1.
+    """
+    c = np.maximum(c, 0)
+    c_x = np.minimum(np.maximum(c_x, 1), c + 1)
+    return c, c_x, np.minimum(np.maximum(c_zplus, 0), c_x - 1)
+
+
+_NB = np.array([[0.0], [1.0]])  # neighbourhood flag, the table's second-last axis
+_M = np.array([0.0, 1.0])  # label match, the table's last axis
+
+
+def tknn_value_table(c, c_x, c_zplus, num_classes: int) -> np.ndarray:
+    """Value of an in-threshold point for each row's full-data triple, (..., 2, 2).
+
+    Entry ``[..., nb, m]`` belongs to a point with neighbourhood flag nb and
+    label match m: the row's triple is decremented by (1, nb, nb * m) to the
+    point's leave-one-out triple, clamped with :func:`clamp_counts`, and put
+    through the closed form, all four flag pairs in one broadcast pass.
+    Counts are carried as float64, which is exact below 2**53.
+    """
+    c, c_x, c_zplus = (np.asarray(a, dtype=np.float64)[..., None, None] for a in (c, c_x, c_zplus))
+    lc, lx, lz = clamp_counts(c - 1.0, c_x - _NB, c_zplus - _NB * _M)
+    base = (_M - 1.0 / num_classes) / lx
+    # The interaction term is dropped at c_x = 1; the guard only keeps that
+    # unused entry from dividing 0 by 0.
+    inter = (_M / lx - lz / (lx * np.maximum(lx - 1.0, 1.0))) * a2_term(lc, lx)
+    return np.where(lx < 2, base, base + inter)
 
 
 def tknn_shapley_from_counts(
@@ -141,13 +168,15 @@ def tknn_shapley_from_counts(
 ) -> float:
     """The closed-form value given the leave-one-out counting triple.
 
-    A point outside the threshold has value exactly zero. When c_x = 1 the
-    interaction term is skipped entirely, so no division by zero can occur.
+    A point outside the threshold has value exactly zero. The triple is
+    handed to :func:`tknn_value_table` as the full-data triple it was
+    decremented from, so the value is that of the table's entry.
     """
     if not in_threshold:
         return 0.0
-    c, c_x, c_zplus = counts.as_tuple()
-    return _point_value(c_x, c_zplus, label_match, 1.0 / num_classes, a2_term(c, c_x))
+    m = int(label_match)
+    full = (counts.c + 1, counts.c_x + 1, counts.c_zplus + m)
+    return float(tknn_value_table(*full, num_classes)[1, m])
 
 
 def tknn_gather(
@@ -193,25 +222,11 @@ def tknn_score_matrix(
     ``train_norms`` are the training norms from :func:`training_norms`, which
     a caller looping over validation chunks computes once.
     """
-    n = ds.n
-    v = np.asarray(val_labels).shape[0]
-    if n == 0:
-        return np.zeros((v, 0))
     within = distance_matrix(cfg.metric, ds.features, val_features, train_norms) <= cfg.tau
     match = ds.labels[None, :] == np.asarray(val_labels)[:, None]
-    # Every in-threshold point of a row has the leave-one-out c_x = its row's
-    # count and c_zplus = its row's same-label count minus its own match.
-    c_x_rows = within.sum(axis=1).tolist()
-    c_zplus_rows = (within & match).sum(axis=1).tolist()
-    inv_c = 1.0 / num_classes
-    table = np.zeros((v, 2, 2))
-    for row, (cxp, czp) in enumerate(zip(c_x_rows, c_zplus_rows)):
-        if cxp:  # a row without in-threshold points scores nothing
-            a2 = a2_term(n - 1, cxp)
-            table[row, 1] = (
-                _point_value(cxp, czp, False, inv_c, a2),
-                _point_value(cxp, czp - 1, True, inv_c, a2),
-            )
+    table = tknn_value_table(
+        ds.n, 1 + within.sum(axis=1), (within & match).sum(axis=1), num_classes
+    )
     return tknn_gather(table, within, match, within)
 
 

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from nnshapley import accountant
 from nnshapley.accountant import (
     AccountantQuery,
     CalibrationResult,
     PrivacyLossDistribution,
+    account_sigma,
     analytic_gaussian_epsilon,
     calibrate_sigma_for_budget,
     compose,
@@ -206,6 +208,23 @@ class TestCalibration:
         assert set(report) == {
             "mechanisms", "sigma", "q", "delta", "epsilon", "grid_step", "truncated_mass",
         }
+
+    def test_accepted_composition_is_reused(self, monkeypatch):
+        # Every accepted sigma was composed when it was accepted, so no sigma
+        # is composed twice and the report is that of a fresh composition.
+        sigmas = []
+        original = accountant.composed_epsilon
+
+        def counting(sensitivity, sigma, *args):
+            sigmas.append(sigma)
+            return original(sensitivity, sigma, *args)
+
+        monkeypatch.setattr(accountant, "composed_epsilon", counting)
+        cal = calibrate_sigma_for_budget(S3, 1.0, 1e-4, q=0.01, mechanisms=16)
+        monkeypatch.undo()
+        assert cal.sigma in sigmas
+        assert len(sigmas) == len(set(sigmas))
+        assert cal == account_sigma(S3, cal.sigma, 0.01, 16, 1e-4)
 
 
 class TestAnalyticGaussian:

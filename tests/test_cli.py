@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -70,6 +71,26 @@ class TestValueCommand:
         code = run_cli(["value", "--train", train, "--val", val, "--output", str(out)])
         assert code == 3
         assert "row 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["knn", "tknn"])
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_overflowing_feature_norms_exit_3(self, tmp_path, capsys, method, normalize):
+        # Finite features whose norms overflow float64: the cosine would be
+        # NaN (or every normalized row zero), so the command must refuse.
+        train = write_csv(
+            tmp_path, "train.csv",
+            "1e200,1e200,0\n2e200,1e200,1\n3e200,1e200,0\n4e200,1e200,1\n",
+        )
+        val = write_csv(tmp_path, "val.csv", "1e200,3e200,0\n")
+        out = tmp_path / "x.json"
+        args = ["value", "--train", train, "--val", val, "--method", method, "--k", "1",
+                "--output", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run_cli(args + ([] if normalize else ["--no-l2-normalize"]))
+        assert code == 3
+        assert "overflows" in capsys.readouterr().err
         assert not out.exists()
 
     def test_label_at_class_count_exits_3(self, csv_pair, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -223,6 +224,26 @@ class TestDpTknn:
         for p in audit:
             c, c_x, c_z = p.counts.as_tuple()
             assert c >= 0 and 1 <= c_x <= c + 1 and 0 <= c_z <= c_x - 1
+
+    @pytest.mark.parametrize("q", [1.0, 0.5])
+    def test_clamped_release_with_an_empty_row_warns_nothing(self, q):
+        # Heavy noise forces clamping, and the last validation point lies far
+        # from every training point, so its row has no in-threshold point.
+        ds = generate_gaussian_synthetic(40, 3, seed=13)
+        dval = generate_gaussian_synthetic(5, 3, seed=14)
+        dval = Dataset(np.vstack([dval.features[:-1], [100.0, 100.0, 100.0]]), dval.labels, 2)
+        cfg = TknnConfig(1.5, EUCLID)
+        fulls = [counts_full(ds, cfg, dval.point(v)) for v in range(dval.n)]
+        assert fulls[-1].c_x == 1 and all(f.c_x > 1 for f in fulls[:-1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res, audit = dp_tknn_shapley_all(
+                ds, cfg, dval, 2, DpParams(delta=1e-4, sigma=20.0, q=q, seed=15)
+            )
+        assert np.all(np.isfinite(res.scores))
+        if q == 1.0:  # the noised triples are the full-data ones; some were clamped
+            noisy = [np.rint(np.add(f.as_tuple(), p.raw_noise_draws)) for f, p in zip(fulls, audit)]
+            assert any(tuple(n) != p.counts.as_tuple() for n, p in zip(noisy, audit))
 
 
 class TestDpKnnBaseline:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import digamma
 
 from nnshapley import dataset
 from nnshapley.dataset import (
@@ -18,12 +19,14 @@ from nnshapley.tknn import (
     NeighborCounts,
     TknnConfig,
     a2_term,
+    clamp_counts,
     counts_full,
     counts_leave_one_out,
     tknn_semivalue_generic,
     tknn_shapley_all,
     tknn_shapley_from_counts,
     tknn_shapley_single,
+    tknn_value_table,
 )
 from nnshapley.valuation import (
     banzhaf_weight,
@@ -197,6 +200,21 @@ class TestA2:
         with pytest.raises(ParameterError):
             a2_term(3, 5)
 
+    def test_elementwise_over_arrays(self):
+        c = np.array([1, 5, 10, 100, 1000, 10000])
+        c_x = np.array([2, 2, 4, 7, 3, 50])
+        values = a2_term(c, c_x)
+        assert values.shape == c.shape
+        for i in range(c.size):
+            assert values[i] == a2_term(int(c[i]), int(c_x[i]))
+
+    @pytest.mark.parametrize("bad", [(3, 0), (3, 5), (-1, 1)])
+    def test_one_bad_element_raises(self, bad):
+        c = np.array([4, 4, bad[0], 4])
+        c_x = np.array([1, 5, bad[1], 3])
+        with pytest.raises(ParameterError):
+            a2_term(c, c_x)
+
     def test_harmonic_identity_exact(self):
         # A2(c, c_x) = H_{c_x} - 1, from sum_{j=1}^{n} C(n-j, m)/j = C(n, m)(H_n - H_m).
         for c in range(30):
@@ -214,6 +232,66 @@ class TestA2:
         c = 20
         harmonic = sum(1.0 / j for j in range(1, c + 2))
         assert a2_term(c, c + 1) == pytest.approx(harmonic - 1.0, rel=1e-12)
+
+
+def old_clamp(c, c_x, c_zplus):
+    """The scalar clamp the value table replaced, transcribed literally."""
+    ci = max(int(c), 0)
+    cxi = min(max(int(c_x), 1), ci + 1)
+    czi = min(max(int(c_zplus), 0), cxi - 1)
+    return ci, cxi, czi
+
+
+def old_table_entry(triple, nb, m, num_classes):
+    """Leave-one-out decrement, re-clamp and closed form, as scalar code."""
+    c, c_x, c_zplus = old_clamp(triple[0] - 1, triple[1] - nb, triple[2] - (nb if m else 0))
+    a2 = float(digamma(c_x + 1.0)) + np.euler_gamma - 1.0
+    mv = 1.0 if m else 0.0
+    base = (mv - 1.0 / num_classes) / c_x
+    if c_x < 2:
+        return base
+    return base + (mv / c_x - c_zplus / (c_x * (c_x - 1.0))) * a2
+
+
+class TestValueTable:
+    @staticmethod
+    def noisy_triples():
+        return np.array(
+            [
+                (c, c_x, c_z)
+                for c in range(-2, 13)
+                for c_x in range(-2, c + 4)
+                for c_z in range(-2, c_x + 3)
+            ],
+            dtype=np.float64,
+        )
+
+    def test_clamp_matches_scalar_clamp(self):
+        noisy = self.noisy_triples()
+        clamped = np.stack(clamp_counts(*noisy.T), axis=1)
+        for row, out in zip(noisy, clamped):
+            assert tuple(int(v) for v in out) == old_clamp(*row)
+
+    @pytest.mark.parametrize("num_classes", [2, 3, 7])
+    def test_bitwise_equal_to_scalar_chain(self, num_classes):
+        # Exhaustive over small noisy triples, clamped as a privatized triple
+        # is, then every flag pair through the vectorized table.
+        triples = np.stack(clamp_counts(*self.noisy_triples().T), axis=1)
+        with np.errstate(all="raise"):
+            table = tknn_value_table(*triples.T, num_classes)
+        assert table.shape == (triples.shape[0], 2, 2)
+        for row, triple in enumerate(triples.astype(int).tolist()):
+            for nb, m in np.ndindex(2, 2):
+                expected = old_table_entry(triple, nb, m, num_classes)
+                assert table[row, nb, m].tobytes() == np.float64(expected).tobytes()
+
+    def test_from_counts_is_a_table_entry(self):
+        for c, c_x, c_z in [(0, 1, 0), (1, 2, 1), (5, 3, 1), (12, 13, 4)]:
+            for match in (False, True):
+                m = int(match)
+                entry = tknn_value_table(c + 1, c_x + 1, c_z + m, 2)[1, m]
+                value = tknn_shapley_from_counts(NeighborCounts(c, c_x, c_z), match, True, 2)
+                assert value == entry == old_table_entry((c + 1, c_x + 1, c_z + m), 1, m, 2)
 
 
 class TestGenericSemivalue:
