@@ -25,6 +25,7 @@ DEFAULT_GRID_STEP = 1e-4
 DEFAULT_TRUNCATION_TAIL = 1e-10
 MAX_GRID_POINTS = 40_000_000
 _LOSS_RATIO_GUARD = 35.0  # mu above this means epsilon is astronomically large
+_SCREEN_FACTOR = 5  # calibration probes compose first on a grid this much coarser
 
 
 @dataclass(frozen=True)
@@ -163,7 +164,9 @@ def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
         n = a.shape[0] + b.shape[0] - 1
         size = next_fast_len(n, True)
-        out = irfft(rfft(a, size) * rfft(b, size), size)[:n]
+        fa = rfft(a, size)
+        fb = fa if b is a else rfft(b, size)  # squaring transforms once
+        out = irfft(fa * fb, size)[:n]
     np.maximum(out, 0.0, out=out)  # FFT rounding can leave tiny negatives
     return out
 
@@ -388,34 +391,97 @@ def account_sigma(
     return CalibrationResult(sigma, eps, mechanisms, q, delta, grid_step, composed.truncated_mass)
 
 
-def calibrate_sigma_for_budget(
+def _screen(
+    sensitivity: float,
+    sigma: float,
+    q: float,
+    mechanisms: int,
+    delta: float,
+    epsilon: float,
+    grid_step: float,
+    truncation_tail: float,
+) -> bool | None:
+    """Decide one calibration probe on the coarse grid, or return None to defer.
+
+    The probe composes on H = _SCREEN_FACTOR * grid_step. It accepts when the
+    coarse epsilon meets the budget; that is not certified, so the caller
+    confirms the returned sigma on the fine grid. It rejects only when the
+    coarse PLD proves that the fine epsilon exceeds the budget:
+
+    - Discretization and composition only move loss mass up, so the coarse
+      composed loss is Y_c = Y + D with Y the true composed loss. Rounding up
+      moves each mechanism's loss by less than H, or less than 2H at the
+      subsampled lower support end log(1 - q), so D < 2mH except on two
+      events: Y_c = +inf, of probability coarse.truncated_mass, and mass
+      folded up without a bound on the distance, of probability at most
+      F = (m + 2 * bit_length(m)) * max(truncation_tail, 1e-15). That is the
+      lower tail below the first grid point of each of the m Gaussian
+      discretizations and the lower tail of each of the at most
+      2 * bit_length(m) trims of the binary-power composition.
+    - Off both events, (1 - e^(eps - Y))_+ >= (1 - e^(eps + 2mH - Y_c))_+, and
+      each event costs delta at most its probability, so
+      delta_true(eps) >= delta_coarse(eps + 2mH) - coarse.truncated_mass - F.
+    - The fine PLD is an upper bound and delta_true is nonincreasing, so if
+      that lower bound exceeds delta, delta_fine(g) >= delta_true(g) >=
+      delta_true(eps) > delta at every fine grid point g <= eps: the fine
+      epsilon exceeds the budget (or the fine grid cannot certify delta).
+
+    A wrong rejection could only raise the returned sigma, never the privacy
+    loss. A coarse grid that cannot answer (AccountingError) defers to the
+    fine one.
+    """
+    h = _SCREEN_FACTOR * grid_step
+    try:
+        coarse_eps, coarse = composed_epsilon(
+            sensitivity, sigma, q, mechanisms, delta, h, truncation_tail
+        )
+    except AccountingError:
+        return None
+    if coarse_eps <= epsilon:
+        return True
+    folded = (mechanisms + 2 * int(mechanisms).bit_length()) * max(truncation_tail, 1e-15)
+    lower = delta_at_epsilon(coarse, epsilon + 2 * mechanisms * h)
+    if lower > delta + coarse.truncated_mass + folded:
+        return False
+    return None
+
+
+def _bisect_sigma(
     sensitivity: float,
     epsilon: float,
     delta: float,
-    q: float = 1.0,
-    mechanisms: int = 1,
-    grid_step: float = DEFAULT_GRID_STEP,
-    truncation_tail: float = DEFAULT_TRUNCATION_TAIL,
-    rel_tol: float = 1e-2,
-) -> CalibrationResult:
-    """Smallest noise scale whose composed accountant epsilon meets the budget.
+    q: float,
+    mechanisms: int,
+    grid_step: float,
+    truncation_tail: float,
+    rel_tol: float,
+    screen: bool,
+) -> CalibrationResult | None:
+    """Bisect sigma; with ``screen``, probes go through :func:`_screen` first.
 
-    Bisection on sigma against the PLD accountant itself, so the returned
-    sigma is guaranteed consistent with the reported (pessimistic) epsilon.
-    The report is the one computed when the returned sigma was accepted.
+    Returns the fine-grid report of the smallest accepted sigma, or None when
+    the screened pass accepted a sigma the fine grid cannot account.
     """
-    if epsilon <= 0.0:
-        raise ParameterError("epsilon must be positive")
     # Basic composition gives a sufficient (loose) starting noise level.
     per_eps = epsilon / mechanisms
     per_delta = delta / (2.0 * mechanisms)
     hi = sensitivity * math.sqrt(2.0 * math.log(1.25 / per_delta)) / per_eps
-    accepted: CalibrationResult | None = None
+    accepted: CalibrationResult | None = None  # the fine report of hi
+    screened = False  # whether the screen decided the latest probe
 
     def meets_budget(sig: float) -> bool:
-        nonlocal accepted
+        nonlocal accepted, screened
         if sensitivity / sig > _LOSS_RATIO_GUARD:
             return False
+        if screen:
+            decided = _screen(
+                sensitivity, sig, q, mechanisms, delta, epsilon, grid_step, truncation_tail
+            )
+            screened = decided is not None
+            if screened:
+                if decided:
+                    accepted = None  # hi moves to a sigma with no fine report
+                return decided
         try:
             result = account_sigma(
                 sensitivity, sig, q, mechanisms, delta, grid_step, truncation_tail
@@ -441,15 +507,57 @@ def calibrate_sigma_for_budget(
             hi = mid
         else:
             lo = mid
-    return accepted
+    if accepted is not None and not screened:
+        return accepted
+    # Compose the report (again) so that the last composition is a fine one.
+    try:
+        return account_sigma(sensitivity, hi, q, mechanisms, delta, grid_step, truncation_tail)
+    except AccountingError:
+        return None
+
+
+def calibrate_sigma_for_budget(
+    sensitivity: float,
+    epsilon: float,
+    delta: float,
+    q: float = 1.0,
+    mechanisms: int = 1,
+    grid_step: float = DEFAULT_GRID_STEP,
+    truncation_tail: float = DEFAULT_TRUNCATION_TAIL,
+    rel_tol: float = 1e-2,
+) -> CalibrationResult:
+    """Smallest noise scale whose composed accountant epsilon meets the budget.
+
+    Bisection on sigma against the PLD accountant itself, so the returned
+    sigma is guaranteed consistent with the reported (pessimistic) epsilon.
+    Each probe is first screened on a grid _SCREEN_FACTOR times coarser
+    (:func:`_screen`); only probes it cannot decide compose on the fine grid.
+    The report is always the fine grid's. Screen rejections are certified,
+    and every screen acceptance lies at or above the returned sigma, so when
+    the fine grid meets the budget there (and so, as epsilon falls with
+    sigma, at each of them), the screened pass took the same path as the
+    fine-only bisection. When it does not, the bisection reruns without the
+    screen.
+    """
+    _check_positive(sensitivity=sensitivity, epsilon=epsilon, rel_tol=rel_tol)
+    if mechanisms < 1:
+        raise ParameterError("mechanisms must be at least 1")
+    if not 0.0 < delta < 1.0:
+        raise ParameterError("delta must lie in (0, 1)")
+    args = (sensitivity, epsilon, delta, q, mechanisms, grid_step, truncation_tail, rel_tol)
+    result = _bisect_sigma(*args, screen=True)
+    if result is None or result.epsilon > epsilon:
+        result = _bisect_sigma(*args, screen=False)
+    return result
+
+
+def _check_positive(**values: float) -> None:
+    for name, value in values.items():
+        if not 0.0 < value < math.inf:  # also false for NaN
+            raise ParameterError(f"{name} must be positive and finite")
 
 
 def _check_pld_args(sensitivity: float, sigma: float, grid_step: float, tail: float) -> None:
-    if sensitivity <= 0.0:
-        raise ParameterError("sensitivity must be positive")
-    if sigma <= 0.0:
-        raise ParameterError("sigma must be positive")
-    if grid_step <= 0.0:
-        raise ParameterError("grid_step must be positive")
+    _check_positive(sensitivity=sensitivity, sigma=sigma, grid_step=grid_step)
     if not 0.0 < tail < 1.0:
         raise ParameterError("truncation_tail must lie in (0, 1)")

@@ -60,10 +60,10 @@ class DpParams:
             raise ParameterError("delta must lie in (0, 1)")
         if (self.epsilon is None) == (self.sigma is None):
             raise ParameterError("provide exactly one of epsilon and sigma")
-        if self.epsilon is not None and self.epsilon <= 0.0:
-            raise ParameterError("epsilon must be positive")
-        if self.sigma is not None and self.sigma < 0.0:
-            raise ParameterError("sigma must be nonnegative")
+        if self.epsilon is not None and not 0.0 < self.epsilon < math.inf:
+            raise ParameterError("epsilon must be positive and finite")
+        if self.sigma is not None and not 0.0 <= self.sigma < math.inf:
+            raise ParameterError("sigma must be nonnegative and finite")
         if not 0.0 < self.q <= 1.0:
             raise ParameterError("subsampling rate q must lie in (0, 1]")
 

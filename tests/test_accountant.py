@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from nnshapley.errors import AccountingError, ParameterError
 
 S3 = math.sqrt(3.0)
 H = 1e-4  # default grid step
+TAIL = accountant.DEFAULT_TRUNCATION_TAIL
 
 
 class TestGaussianPld:
@@ -66,6 +68,14 @@ class TestGaussianPld:
             gaussian_pld(1.0, -1.0)
         with pytest.raises(ParameterError):
             gaussian_pld(1.0, 1.0, grid_step=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_arguments_rejected(self, bad):
+        for args in ((bad, 1.0), (1.0, bad), (1.0, 1.0, bad)):
+            with pytest.raises(ParameterError, match="finite"):
+                gaussian_pld(*args)
+            with pytest.raises(ParameterError, match="finite"):
+                account_sigma(*args[:2], 0.5, 4, 1e-4, *args[2:])
 
 
 class TestSubsampledPld:
@@ -210,21 +220,188 @@ class TestCalibration:
         }
 
     def test_accepted_composition_is_reused(self, monkeypatch):
-        # Every accepted sigma was composed when it was accepted, so no sigma
-        # is composed twice and the report is that of a fresh composition.
-        sigmas = []
+        # On the fine grid alone (a screen that never decides), every accepted
+        # sigma was composed when it was accepted, so no sigma is composed
+        # twice and the report is that of a fresh composition. The screened
+        # calibration ends on the fine grid with the same report.
+        calls = []
         original = accountant.composed_epsilon
 
-        def counting(sensitivity, sigma, *args):
-            sigmas.append(sigma)
-            return original(sensitivity, sigma, *args)
+        def counting(sensitivity, sigma, q, mechanisms, delta, grid_step, *args):
+            calls.append((sigma, grid_step))
+            return original(sensitivity, sigma, q, mechanisms, delta, grid_step, *args)
 
         monkeypatch.setattr(accountant, "composed_epsilon", counting)
         cal = calibrate_sigma_for_budget(S3, 1.0, 1e-4, q=0.01, mechanisms=16)
+        assert calls[-1][1] == H
+        calls.clear()
+        monkeypatch.setattr(accountant, "_screen", lambda *args: None)
+        fine_only = calibrate_sigma_for_budget(S3, 1.0, 1e-4, q=0.01, mechanisms=16)
         monkeypatch.undo()
+        sigmas = [sigma for sigma, _ in calls]
+        assert fine_only == cal
         assert cal.sigma in sigmas
         assert len(sigmas) == len(set(sigmas))
         assert cal == account_sigma(S3, cal.sigma, 0.01, 16, 1e-4)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [dict(sensitivity=0.0), dict(sensitivity=-1.0), dict(sensitivity=math.nan),
+         dict(epsilon=math.nan), dict(epsilon=math.inf), dict(delta=math.nan),
+         dict(mechanisms=0), dict(rel_tol=0.0), dict(rel_tol=-0.01),
+         dict(rel_tol=math.nan), dict(rel_tol=math.inf)],
+        ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()),
+    )
+    def test_invalid_arguments_rejected_before_composing(self, monkeypatch, bad):
+        def no_composition(*args):
+            raise AssertionError("composed before the arguments were checked")
+
+        monkeypatch.setattr(accountant, "composed_epsilon", no_composition)
+        args = dict(sensitivity=S3, epsilon=1.0, delta=1e-4, q=0.01, mechanisms=16)
+        with pytest.raises(ParameterError):
+            calibrate_sigma_for_budget(**{**args, **bad})
+
+
+def _fine_only_calibration(
+    sensitivity, epsilon, delta, q, mechanisms, grid_step, truncation_tail=TAIL, rel_tol=1e-2
+):
+    """The bisection as it ran before the coarse screen, transcribed literally."""
+    per_eps = epsilon / mechanisms
+    per_delta = delta / (2.0 * mechanisms)
+    hi = sensitivity * math.sqrt(2.0 * math.log(1.25 / per_delta)) / per_eps
+    accepted = None
+
+    def meets_budget(sig):
+        nonlocal accepted
+        if sensitivity / sig > accountant._LOSS_RATIO_GUARD:
+            return False
+        try:
+            result = account_sigma(
+                sensitivity, sig, q, mechanisms, delta, grid_step, truncation_tail
+            )
+        except AccountingError:
+            return False
+        if result.epsilon > epsilon:
+            return False
+        accepted = result
+        return True
+
+    while not meets_budget(hi):
+        hi *= 2.0
+        if hi > 1e9 * sensitivity:
+            raise AccountingError("failed to bracket a sufficient sigma")
+    lo = hi / 2.0
+    while lo > sensitivity * 1e-6 and meets_budget(lo):
+        hi = lo
+        lo /= 2.0
+    while hi / lo > 1.0 + rel_tol:
+        mid = math.sqrt(lo * hi)
+        if meets_budget(mid):
+            hi = mid
+        else:
+            lo = mid
+    return accepted
+
+
+# (sensitivity, epsilon, delta, q, mechanisms, grid_step)
+CALIBRATION_CASES = {
+    "dp-release": (S3, 1.0, 1e-5, 0.01, 200, 2e-5),  # perfbench's dp-release workload
+    "mia-attack": (S3, 1.0, 1e-4, 0.01, 16, H),  # criterion 8's DP half
+    "detection-dp-tknn": (S3, 1.0, 1e-4, 0.01, 200, H),  # the detection fixture
+    "detection-dp-knn": (1 / 30, 1.0, 1e-4, 1.0, 200, H),
+    "cli-defaults": (S3, 1.0, 1e-4, 0.01, 100, H),  # dp-value --epsilon 1, 100 val points
+    # The screen decides the probes after a fine acceptance: the report is composed again.
+    "screen-decides-last": (S3, 1.0, 1e-4, 0.1, 8, H),
+    "q-one": (S3, 2.0, 1e-4, 1.0, 4, H),
+    "one-mechanism": (S3, 1.0, 1e-5, 0.05, 1, H),
+    "thousand-mechanisms": (S3, 1.0, 1e-5, 0.01, 1000, H),
+    "small-sensitivity": (0.05, 0.5, 1e-5, 0.1, 50, H),
+    # Below the coarse grid's rounding drift (about m H / 2): only the fine grid accepts.
+    "coarse-accepts-nothing": (S3, 0.1, 1e-4, 0.01, 400, H),
+}
+
+
+class TestCoarseScreen:
+    @pytest.mark.parametrize("case", list(CALIBRATION_CASES))
+    def test_same_result_as_fine_only_bisection(self, monkeypatch, case):
+        _, epsilon, _, _, _, step = CALIBRATION_CASES[case]
+        calls = []
+        original = accountant.composed_epsilon
+
+        def recording(sensitivity, sigma, q, mechanisms, delta, grid_step, *args):
+            eps, pld = original(sensitivity, sigma, q, mechanisms, delta, grid_step, *args)
+            calls.append((grid_step, eps))
+            return eps, pld
+
+        monkeypatch.setattr(accountant, "composed_epsilon", recording)
+        cal = calibrate_sigma_for_budget(*CALIBRATION_CASES[case])
+        monkeypatch.undo()
+        expected = _fine_only_calibration(*CALIBRATION_CASES[case])
+        assert cal.report() == expected.report()
+        assert calls[-1][0] == step  # the fine grid composes last
+        coarse_accepts = [eps <= epsilon for grid_step, eps in calls if grid_step != step]
+        assert any(coarse_accepts) == (case != "coarse-accepts-nothing")
+
+    @pytest.mark.parametrize("case", ["mia-attack", "q-one", "one-mechanism", "small-sensitivity"])
+    def test_rejections_are_certified(self, case):
+        sensitivity, epsilon, delta, q, m, step = CALIBRATION_CASES[case]
+        boundary = calibrate_sigma_for_budget(*CALIBRATION_CASES[case]).sigma
+        rejected = 0
+        for sigma in boundary * np.geomspace(0.9, 1.02, 10):
+            if accountant._screen(sensitivity, sigma, q, m, delta, epsilon, step, TAIL) is not False:
+                continue
+            rejected += 1
+            try:
+                fine, _ = composed_epsilon(sensitivity, sigma, q, m, delta, step)
+            except AccountingError:
+                continue  # the fine grid rejects it too
+            assert fine > epsilon
+            if q == 1.0:  # m Gaussian releases at sigma are one at sigma / sqrt(m)
+                assert analytic_gaussian_epsilon(sensitivity, sigma / math.sqrt(m), delta) > epsilon
+        assert rejected > 0
+
+    @pytest.mark.parametrize("wrong", ["optimistic-coarse-epsilon", "fine-grid-too-large"])
+    def test_wrong_coarse_acceptance_falls_back(self, monkeypatch, wrong):
+        case = CALIBRATION_CASES["mia-attack"]
+        if wrong == "optimistic-coarse-epsilon":
+            original = accountant.composed_epsilon
+
+            def optimistic(sensitivity, sigma, q, mechanisms, delta, grid_step, *args):
+                eps, pld = original(sensitivity, sigma, q, mechanisms, delta, grid_step, *args)
+                return (eps if grid_step == H else eps - 0.05), pld
+
+            monkeypatch.setattr(accountant, "composed_epsilon", optimistic)
+        else:
+            # Near the boundary one discretization needs about 55k points on
+            # the fine grid and 11k on the coarse one.
+            monkeypatch.setattr(accountant, "MAX_GRID_POINTS", 30_000)
+        passes = []
+        bisect = accountant._bisect_sigma
+
+        def recording(*args, screen):
+            passes.append(screen)
+            return bisect(*args, screen=screen)
+
+        monkeypatch.setattr(accountant, "_bisect_sigma", recording)
+        cal = calibrate_sigma_for_budget(*case)
+        assert passes == [True, False]
+        assert cal.report() == _fine_only_calibration(*case).report()
+
+    def test_dp_release_settings_compose_on_the_fine_grid_at_most_three_times(
+        self, monkeypatch
+    ):
+        calls = []
+        original = accountant.composed_epsilon
+
+        def counting(sensitivity, sigma, q, mechanisms, delta, grid_step, *args):
+            calls.append(grid_step)
+            return original(sensitivity, sigma, q, mechanisms, delta, grid_step, *args)
+
+        monkeypatch.setattr(accountant, "composed_epsilon", counting)
+        calibrate_sigma_for_budget(*CALIBRATION_CASES["dp-release"])
+        per_step = collections.Counter(calls)
+        assert per_step[2e-5] <= 3  # 19 before the screen
+        assert calls[-1] == 2e-5
 
 
 class TestAnalyticGaussian:

@@ -315,6 +315,36 @@ def test_bad_hyperparameter_exits_2_before_data(tmp_path, monkeypatch, command, 
     assert not out.exists()
 
 
+_DP_VALUE = ["dp-value", "--synthetic", "n=30,d=3", "--synthetic-val", "n=4",
+             "--method", "dp-tknn"]
+_ACCOUNT = ["account", "--mechanisms", "4"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        pytest.param(_DP_VALUE + ["--epsilon", "nan"], id="dp-value-epsilon-nan"),
+        pytest.param(_DP_VALUE + ["--epsilon", "inf"], id="dp-value-epsilon-inf"),
+        pytest.param(_DP_VALUE + ["--sigma", "nan"], id="dp-value-sigma-nan"),
+        pytest.param(_DP_VALUE + ["--sigma", "inf"], id="dp-value-sigma-inf"),
+        pytest.param(_DP_VALUE + ["--epsilon", "1", "--grid-step", "nan"],
+                     id="dp-value-grid-step-nan"),
+        pytest.param(_DP_VALUE + ["--sigma", "2", "--grid-step", "nan"],
+                     id="dp-value-sigma-grid-step-nan"),
+        pytest.param(_ACCOUNT + ["--sigma", "nan"], id="account-sigma-nan"),
+        pytest.param(_ACCOUNT + ["--sigma", "inf"], id="account-sigma-inf"),
+    ],
+)
+def test_non_finite_dp_parameter_exits_2(tmp_path, capsys, args):
+    out = tmp_path / "x.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli(args + ["--output", str(out)])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestBenchCommand:
     def test_csv_schema(self, tmp_path):
         out = tmp_path / "bench.csv"

@@ -67,6 +67,19 @@ class TestCalibration:
         params = DpParams(delta=1e-4, epsilon=1.0)
         assert params.resolve_sigma(math.sqrt(3)) == pytest.approx(5.3198, abs=2e-4)
 
+    @pytest.mark.parametrize(
+        "budget", [dict(epsilon=math.nan), dict(epsilon=math.inf), dict(sigma=math.nan),
+                   dict(sigma=math.inf), dict(epsilon=0.0), dict(sigma=-1.0)],
+        ids=lambda budget: ",".join(f"{k}={v}" for k, v in budget.items()),
+    )
+    def test_params_reject_non_finite_and_out_of_range(self, budget):
+        with pytest.raises(ParameterError):
+            DpParams(delta=1e-4, **budget)
+
+    def test_params_allow_zero_sigma(self):
+        # The degenerate release: no noise, scores equal the non-private ones.
+        assert DpParams(delta=1e-4, sigma=0.0).resolve_sigma(1.0) == 0.0
+
 
 class TestPrivatizeCounts:
     def test_zero_noise_identity(self):
