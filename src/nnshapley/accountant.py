@@ -265,15 +265,20 @@ def compose(plds: list[PrivacyLossDistribution]) -> PrivacyLossDistribution:
     return out
 
 
-def delta_at_epsilon(pld: PrivacyLossDistribution, epsilon: float) -> float:
-    """delta(eps) = E[(1 - e^{eps - Y})_+] + truncated mass."""
-    grid = pld.grid()
-    above = grid > epsilon
-    if not above.any():
+def delta_at_epsilon(
+    pld: PrivacyLossDistribution, epsilon: float, grid: np.ndarray | None = None
+) -> float:
+    """delta(eps) = E[(1 - e^{eps - Y})_+] + truncated mass.
+
+    ``grid`` is ``pld.grid()``, which a caller evaluating many epsilons builds
+    once. The grid ascends, so the losses above epsilon are one suffix of it.
+    """
+    grid = pld.grid() if grid is None else grid
+    j = int(np.searchsorted(grid, epsilon, "right"))
+    if j == grid.shape[0]:
         return pld.truncated_mass
-    g = grid[above]
-    m = pld.mass[above]
-    return float(np.sum(m) - np.sum(m * np.exp(epsilon - g)) + pld.truncated_mass)
+    m = pld.mass[j:]
+    return float(np.sum(m) - np.sum(m * np.exp(epsilon - grid[j:])) + pld.truncated_mass)
 
 
 def epsilon_at_delta(pld: PrivacyLossDistribution, query: AccountantQuery | float) -> float:
@@ -291,13 +296,13 @@ def epsilon_at_delta(pld: PrivacyLossDistribution, query: AccountantQuery | floa
             f"target delta {delta} is not above the truncated mass "
             f"{pld.truncated_mass}; rerun with a finer grid or smaller truncation tail"
         )
-    if delta_at_epsilon(pld, 0.0) <= delta:
-        return 0.0
     grid = pld.grid()
+    if delta_at_epsilon(pld, 0.0, grid) <= delta:
+        return 0.0
     lo, hi = 0, grid.shape[0] - 1  # delta at grid[hi] equals truncated mass < delta
     while lo < hi:
         mid = (lo + hi) // 2
-        if delta_at_epsilon(pld, float(grid[mid])) <= delta:
+        if delta_at_epsilon(pld, float(grid[mid]), grid) <= delta:
             hi = mid
         else:
             lo = mid + 1
@@ -311,8 +316,7 @@ def analytic_gaussian_epsilon(sensitivity: float, sigma: float, delta: float) ->
     Phi(-mu/2 - eps/mu); this is the independent reference the discretized
     accountant is validated against.
     """
-    if sigma <= 0.0 or sensitivity <= 0.0:
-        raise ParameterError("sensitivity and sigma must be positive")
+    _check_positive(sensitivity=sensitivity, sigma=sigma)
     if not 0.0 < delta < 1.0:
         raise ParameterError("delta must lie in (0, 1)")
     from scipy.optimize import brentq  # deferred: only this reference needs scipy.optimize

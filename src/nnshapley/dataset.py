@@ -164,18 +164,12 @@ class CorruptionRecord:
 
 
 def distance(metric: DistanceMetric, a: np.ndarray, b: np.ndarray) -> float:
-    """Distance between two vectors under ``metric``."""
+    """Distance between two vectors under ``metric``: the :func:`distance_matrix` entry."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ParameterError("distance requires vectors of equal dimension")
-    if metric is DistanceMetric.EUCLIDEAN:
-        return float(np.linalg.norm(a - b))
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise DataError("negative-cosine distance is undefined for zero vectors")
-    return float(-np.dot(a, b) / (na * nb))
+    return float(distance_matrix(metric, a[None], b[None])[0, 0])
 
 
 def distances_to(metric: DistanceMetric, features: np.ndarray, x: np.ndarray) -> np.ndarray:

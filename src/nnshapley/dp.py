@@ -19,7 +19,7 @@ import numpy as np
 from ._rng import TAG_NOISE, TAG_SUBSAMPLE, stream
 from .dataset import Dataset, distance_matrix, sum_over_validation
 from .errors import ParameterError
-from .knn import KnnConfig, knn_score_matrix, knn_shapley_scores
+from .knn import KnnConfig, _old_sorted_batch, knn_score_matrix, knn_sorted_match
 from .tknn import NeighborCounts, TknnConfig, clamp_counts, tknn_gather, tknn_value_table
 from .valuation import MethodDescriptor, ValuationResult
 
@@ -35,10 +35,10 @@ def knn_old_sensitivity(k: int) -> float:
 
 def calibrate_sigma(sensitivity: float, epsilon: float, delta: float) -> float:
     """Per-mechanism Gaussian noise scale: sigma = sens * sqrt(ln(1.25/delta)) / eps."""
-    if sensitivity <= 0.0:
-        raise ParameterError("sensitivity must be positive")
-    if epsilon <= 0.0:
-        raise ParameterError("epsilon must be positive")
+    if not 0.0 < sensitivity < math.inf:  # also false for NaN
+        raise ParameterError("sensitivity must be positive and finite")
+    if not 0.0 < epsilon < math.inf:
+        raise ParameterError("epsilon must be positive and finite")
     if not 0.0 < delta < 1.0:
         raise ParameterError("delta must lie in (0, 1)")
     return sensitivity * math.sqrt(math.log(1.25 / delta)) / epsilon
@@ -204,9 +204,11 @@ def dp_knn_shapley_all(
     """The naive DP baseline on the older KNN-Shapley variant.
 
     Independent noise per (owner, validation point): N * |dval| draws, with
-    no reuse and hence no collusion resistance. The subsampled form redraws a
-    fresh Poisson subsample and reruns the recursion per owner, because the
-    recursion offers no way to share one subsample across owners.
+    no reuse and hence no collusion resistance. The subsampled form draws a
+    fresh Poisson subsample per owner and validation point, always keeping
+    the owner, and reruns the recursion on it, because the recursion offers
+    no way to share one subsample across owners. A subset keeps index order,
+    so its (distance, index) order is the kept part of the row's one order.
     """
     if cfg.variant != "old":
         raise ParameterError("the DP baseline is defined for the old variant only")
@@ -217,33 +219,27 @@ def dp_knn_shapley_all(
     n = ds.n
 
     def chunk_sum(lo: int, hi: int, norms: np.ndarray | None) -> np.ndarray:
-        chunk = knn_score_matrix(
-            ds, cfg, dval.features[lo:hi], dval.labels[lo:hi], num_classes, norms
-        )
-        for row in range(hi - lo):
-            rng = stream(params.seed, TAG_NOISE, lo + row)
-            chunk[row] += rng.normal(0.0, sigma, n) if sigma > 0.0 else 0.0
+        features, labels = dval.features[lo:hi], dval.labels[lo:hi]
+        if not subsampled:
+            chunk = knn_score_matrix(ds, cfg, features, labels, num_classes, norms)
+        else:
+            order, match = knn_sorted_match(ds, cfg.metric, features, labels, norms)
+            rank = np.empty_like(order)  # rank[row, i]: position of point i in order[row]
+            np.put_along_axis(rank, order, np.arange(n)[None, :], axis=1)
+            chunk = np.empty(order.shape)
+            for row, v in enumerate(range(lo, hi)):
+                for i in range(n):
+                    keep = _poisson_mask(n, params.q, stream(params.seed, TAG_SUBSAMPLE, v, i))
+                    keep[i] = True  # the owner's own point is always present
+                    kept = keep[order[row]]
+                    sub = _old_sorted_batch(match[row, kept][None], cfg.k)[0]
+                    chunk[row, i] = sub[np.count_nonzero(kept[: rank[row, i]])]
+        if sigma > 0.0:
+            for v, row in enumerate(chunk, start=lo):
+                row += stream(params.seed, TAG_NOISE, v).normal(0.0, sigma, n)
         return chunk.sum(axis=0)
 
-    if not subsampled:
-        total = sum_over_validation(ds, dval, cfg.metric, chunk_sum, threads=1)
-    else:
-        # One recursion per owner and validation point, so there is no chunk
-        # matrix to share; the total is kept per point in validation order.
-        if dval.n == 0:
-            raise ParameterError("validation set must be nonempty")
-        total = np.zeros(n)
-        for v in range(dval.n):
-            zval = dval.point(v)
-            noise_rng = stream(params.seed, TAG_NOISE, v)
-            for i in range(n):
-                keep = _poisson_mask(n, params.q, stream(params.seed, TAG_SUBSAMPLE, v, i))
-                keep[i] = True  # the owner's own point is always present
-                sub = ds.subset(keep)
-                pos = int(np.searchsorted(np.flatnonzero(keep), i))
-                phi_i = knn_shapley_scores(sub, cfg, zval, num_classes)[pos]
-                noise = float(noise_rng.normal(0.0, sigma)) if sigma > 0.0 else 0.0
-                total[i] += phi_i + noise
+    total = sum_over_validation(ds, dval, cfg.metric, chunk_sum, threads=1)
     descriptor = MethodDescriptor(
         name="dp-knn-shapley-old" + ("-subsampled" if subsampled else ""),
         num_classes=num_classes,

@@ -119,6 +119,28 @@ def _old_sorted_batch(match: np.ndarray, k: int) -> np.ndarray:
     return _suffix_scores(match, step, match[:, -1] / max(k, n))
 
 
+def knn_sorted_match(
+    ds: Dataset,
+    metric: DistanceMetric,
+    val_features: np.ndarray,
+    val_labels: np.ndarray,
+    train_norms: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each validation row's training order and label matches in that order.
+
+    ``order[v]`` lists training indices closest first, ties by index;
+    ``match[v, r]`` is whether the rank-r point carries row v's label.
+    ``train_norms`` are the training norms from :func:`training_norms`, which
+    a caller looping over validation chunks computes once.
+    """
+    if ds.n == 0:
+        raise ParameterError("KNN-Shapley is undefined on an empty dataset")
+    order = _index_ordered_argsort(
+        distance_matrix(metric, ds.features, val_features, train_norms)
+    )
+    return order, ds.labels[order] == np.asarray(val_labels)[:, None]
+
+
 def knn_score_matrix(
     ds: Dataset,
     cfg: KnnConfig,
@@ -127,17 +149,8 @@ def knn_score_matrix(
     num_classes: int,
     train_norms: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Score matrix (one row per validation point), original index order.
-
-    ``train_norms`` are the training norms from :func:`training_norms`, which
-    a caller looping over validation chunks computes once.
-    """
-    if ds.n == 0:
-        raise ParameterError("KNN-Shapley is undefined on an empty dataset")
-    order = _index_ordered_argsort(
-        distance_matrix(cfg.metric, ds.features, val_features, train_norms)
-    )
-    match = ds.labels[order] == np.asarray(val_labels)[:, None]
+    """Score matrix (one row per validation point), original index order."""
+    order, match = knn_sorted_match(ds, cfg.metric, val_features, val_labels, train_norms)
     if cfg.variant == "refined":
         sorted_scores = _refined_sorted_batch(match, cfg.k, num_classes)
     else:

@@ -292,36 +292,20 @@ def tknn_semivalue_generic(
     dist = distances_to(cfg.metric, ds.features, zval.features)
     within = dist <= cfg.tau
     match = ds.labels == zval.label
-    c_x_full = 1 + int(within.sum())
-    c_zplus_full = int((within & match).sum())
-
-    sums: dict[int, tuple[float, float]] = {}
-
-    def sums_for(cxp: int) -> tuple[float, float]:
-        cached = sums.get(cxp)
-        if cached is not None:
-            return cached
-        s_inter = 0.0
-        s_base = 0.0
-        for k in range(n):
-            base = math.comb(n - cxp, k)
-            b_k = math.comb(n, k + 1) - math.comb(n - cxp, k + 1) - cxp * base
-            s_inter += w[k] * b_k
-            s_base += w[k] * base
-        result = (s_inter / n, s_base / n)
-        sums[cxp] = result
-        return result
-
-    inv_c = 1.0 / num_classes
+    cxp = int(within.sum())  # c_x on the leave-one-out dataset, the same for every point
+    s_inter = 0.0
+    s_base = 0.0
+    for k in range(n):
+        base = math.comb(n - cxp, k)
+        b_k = math.comb(n, k + 1) - math.comb(n - cxp, k + 1) - cxp * base
+        s_inter += w[k] * b_k
+        s_base += w[k] * base
+    s_inter, s_base = s_inter / n, s_base / n
+    m = match[within].astype(np.float64)
+    value = (m - 1.0 / num_classes) * s_base
+    if cxp >= 2:
+        czp = int((within & match).sum()) - m  # c_z+ on the leave-one-out dataset
+        value += (m / cxp - czp / (cxp * (cxp - 1.0))) * s_inter
     scores = np.zeros(n)
-    for i in np.flatnonzero(within):
-        cxp = c_x_full - 1
-        czp = c_zplus_full - (1 if match[i] else 0)
-        m = 1.0 if match[i] else 0.0
-        s_inter, s_base = sums_for(cxp)
-        value = (m - inv_c) * s_base
-        if cxp >= 2:
-            a1 = m / cxp - czp / (cxp * (cxp - 1.0))
-            value += a1 * s_inter
-        scores[i] = value
+    scores[within] = value
     return ValuationResult(scores, descriptor, validation_size=1)

@@ -264,6 +264,7 @@ def detection_medians():
     return medians
 
 
+@pytest.mark.slow
 def test_criterion_6_detection_at_desk_scale(detection_medians):
     """Synthetic mislabel detection: absolute and relative AUROC gates."""
     m = detection_medians
@@ -277,6 +278,7 @@ def test_criterion_6_detection_at_desk_scale(detection_medians):
               f"({m['_elapsed']:.0f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_7_runtime_scaling():
     """Large-N wall time: threshold variant no slower, and linear in N."""
     rows = bench_runtime(
@@ -307,6 +309,7 @@ def attack_setup():
     return pools
 
 
+@pytest.mark.slow
 def test_criterion_8_membership_inference(attack_setup):
     """The attack works on plain scores and collapses under the DP release."""
     start = time.monotonic()

@@ -179,6 +179,31 @@ class TestEpsilonAtDelta:
         pld = gaussian_pld(1.0, 1e4)
         assert epsilon_at_delta(pld, 0.5) == 0.0
 
+    def test_delta_at_epsilon_equals_the_masked_sum(self):
+        # The suffix slice selects exactly the grid points a mask above epsilon
+        # selects, so delta is bit-identical, on and between grid points.
+        def masked(pld, eps):
+            grid = pld.grid()
+            above = grid > eps
+            if not above.any():
+                return pld.truncated_mass
+            m = pld.mass[above]
+            return float(np.sum(m) - np.sum(m * np.exp(eps - grid[above])) + pld.truncated_mass)
+
+        plds = [
+            gaussian_pld(S3, 3.0),
+            subsampled_gaussian_pld(S3, 1.5, 0.1),
+            compose([gaussian_pld(1.0, 4.0)] * 3),
+        ]
+        for pld in plds:
+            grid = pld.grid()
+            points = [grid[0] - 1.0, grid[-1], grid[-1] + 1.0, 0.0, 0.3]
+            sample = grid[:: max(1, grid.shape[0] // 7)]
+            points += list(sample) + list(sample + H / 3)
+            for eps in points:
+                assert delta_at_epsilon(pld, float(eps)) == masked(pld, float(eps))
+                assert delta_at_epsilon(pld, float(eps), grid) == masked(pld, float(eps))
+
     def test_delta_at_epsilon_matches_analytic(self):
         # Discretized delta(eps) of a single Gaussian stays within a grid step
         # of the exact tradeoff curve.
@@ -411,6 +436,12 @@ class TestAnalyticGaussian:
         eps2 = analytic_gaussian_epsilon(1.0, 2.0, 1e-5)
         assert eps2 < eps1
         assert analytic_gaussian_epsilon(1.0, 1.0, 0.9999) == 0.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_arguments_rejected(self, bad):
+        for args in ((1.0, bad, 1e-4), (bad, 1.0, 1e-4)):
+            with pytest.raises(ParameterError, match="positive and finite"):
+                analytic_gaussian_epsilon(*args)
 
     def test_round_trip_with_delta(self):
         from scipy.special import ndtr

@@ -211,6 +211,12 @@ class TestDistance:
         with pytest.raises(DataError):
             distance(DistanceMetric.NEGATIVE_COSINE, np.zeros(2), np.ones(2))
 
+    def test_cosine_overflow_is_rejected(self):
+        a = np.array([1e200, 1e200])
+        b = np.array([1e200, 3e200])
+        with pytest.raises(DataError, match="overflows"):
+            distance(DistanceMetric.NEGATIVE_COSINE, a, b)
+
     def test_symmetry(self, rng):
         for _ in range(200):
             a = rng.standard_normal(4)

@@ -13,7 +13,7 @@ from nnshapley.dataset import (
     generate_gaussian_synthetic,
     validation_chunks,
 )
-from nnshapley._rng import TAG_SUBSAMPLE, stream
+from nnshapley._rng import TAG_NOISE, TAG_SUBSAMPLE, stream
 from nnshapley.dp import (
     COUNTS_SENSITIVITY,
     DpParams,
@@ -55,6 +55,15 @@ class TestCalibration:
             calibrate_sigma(1.0, -1.0, 1e-4)
         with pytest.raises(ParameterError):
             calibrate_sigma(1.0, 1.0, 2.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_arguments_rejected(self, bad):
+        # An infinite epsilon would otherwise calibrate a noiseless release.
+        for args in ((1.0, bad, 1e-4), (bad, 1.0, 1e-4)):
+            with pytest.raises(ParameterError, match="positive and finite"):
+                calibrate_sigma(*args)
+        with pytest.raises(ParameterError):
+            calibrate_sigma(1.0, 1.0, bad)
 
     def test_knn_old_sensitivity_value(self):
         assert knn_old_sensitivity(5) == pytest.approx(1 / 30)
@@ -259,7 +268,89 @@ class TestDpTknn:
             assert any(tuple(n) != p.counts.as_tuple() for n, p in zip(noisy, audit))
 
 
+def _per_owner_subsampled_reference(ds, cfg, dval, num_classes, params):
+    """The subsampled DP-KNN baseline as a per-owner loop: for every
+    (validation point, owner) pair, one subset copy, one distance row and one
+    sort, with the point's noise drawn one owner at a time."""
+    if dval.n == 0:
+        raise ParameterError("validation set must be nonempty")
+    sigma = params.resolve_sigma(knn_old_sensitivity(cfg.k))
+    n = ds.n
+    total = np.zeros(n)
+    for v in range(dval.n):
+        zval = dval.point(v)
+        noise_rng = stream(params.seed, TAG_NOISE, v)
+        for i in range(n):
+            keep = _poisson_mask(n, params.q, stream(params.seed, TAG_SUBSAMPLE, v, i))
+            keep[i] = True  # the owner's own point is always present
+            sub = ds.subset(keep)
+            pos = int(np.searchsorted(np.flatnonzero(keep), i))
+            phi_i = knn_shapley_scores(sub, cfg, zval, num_classes)[pos]
+            noise = float(noise_rng.normal(0.0, sigma)) if sigma > 0.0 else 0.0
+            total[i] += phi_i + noise
+    return total
+
+
+def _baseline_instance(rng):
+    """Random training set in which some points are copied with another label."""
+    n, d, num_classes = int(rng.integers(2, 13)), int(rng.integers(1, 4)), int(rng.integers(2, 4))
+    feats = rng.standard_normal((n, d))
+    labels = rng.integers(0, num_classes, n)
+    copies = rng.integers(0, n, int(rng.integers(0, 4)))
+    feats = np.concatenate([feats, feats[copies]])
+    labels = np.concatenate([labels, (labels[copies] + 1) % num_classes])
+    ds = Dataset(feats, labels, num_classes)
+    v = int(rng.integers(1, 4))
+    dval = Dataset(rng.standard_normal((v, d)), rng.integers(0, num_classes, v), num_classes)
+    return ds, dval, num_classes
+
+
 class TestDpKnnBaseline:
+    def test_subsampled_equals_the_per_owner_loop_bitwise(self):
+        rng = np.random.default_rng(8)
+        for case in range(320):
+            metric = (EUCLID, NEGCOS)[case % 2]
+            ds, dval, num_classes = _baseline_instance(rng)
+            cfg = KnnConfig(int(rng.integers(1, 6)), metric, "old")
+            params = DpParams(
+                delta=1e-4,
+                sigma=(0.0, 0.05)[case // 2 % 2],
+                q=(0.3, 0.7, 1.0)[case % 3],
+                seed=case,
+            )
+            res = dp_knn_shapley_all(ds, cfg, dval, num_classes, params, subsampled=True)
+            ref = _per_owner_subsampled_reference(ds, cfg, dval, num_classes, params)
+            assert np.array_equal(res.scores, ref), case
+
+    @pytest.mark.parametrize("subsampled", [False, True])
+    def test_empty_training_set_rejected(self, subsampled):
+        ds = Dataset(np.zeros((0, 3)), np.zeros(0, dtype=int), 2)
+        dval = generate_gaussian_synthetic(3, 3, seed=2)
+        params = DpParams(delta=1e-4, sigma=0.1, q=0.5)
+        with pytest.raises(ParameterError, match="empty dataset"):
+            dp_knn_shapley_all(ds, KnnConfig(3, EUCLID, "old"), dval, 2, params, subsampled)
+
+    def test_subsampled_over_chunks_only_reorders_the_sum(self, monkeypatch):
+        monkeypatch.setattr(dataset, "_SCORE_CHUNK_ELEMS", 60)
+        ds = generate_gaussian_synthetic(20, 3, seed=1)
+        dval = generate_gaussian_synthetic(7, 3, seed=2)
+        assert len(validation_chunks(dval.n, ds.n)) >= 3
+        cfg = KnnConfig(3, NEGCOS, "old")
+        params = DpParams(delta=1e-4, sigma=0.05, q=0.5, seed=3)
+        res = dp_knn_shapley_all(ds, cfg, dval, 2, params, subsampled=True)
+        ref = _per_owner_subsampled_reference(ds, cfg, dval, 2, params)
+        assert np.allclose(res.scores, ref, rtol=0.0, atol=1e-12)
+
+    def test_subsampled_at_full_rate_and_zero_noise_is_the_plain_release(self):
+        ds = generate_gaussian_synthetic(30, 3, seed=4)
+        ds = ds.subset(np.r_[np.arange(30), 0, 5])  # exact duplicates among the ranks
+        dval = generate_gaussian_synthetic(5, 3, seed=5)
+        for metric in (EUCLID, NEGCOS):
+            cfg = KnnConfig(3, metric, "old")
+            params = DpParams(delta=1e-4, sigma=0.0, q=1.0, seed=6)
+            res = dp_knn_shapley_all(ds, cfg, dval, 2, params, subsampled=True)
+            assert np.array_equal(res.scores, knn_shapley_all(ds, cfg, dval, 2).scores)
+
     def test_requires_old_variant(self):
         ds = generate_gaussian_synthetic(10, 2, seed=1)
         dval = generate_gaussian_synthetic(2, 2, seed=2)
