@@ -243,7 +243,8 @@ _SCORE_CHUNK_MAX_ROWS = 512
 
 
 def validation_chunks(n_val: int, n_train: int) -> list[tuple[int, int]]:
-    """Shared chunking of a validation set so every scorer sees the same splits."""
+    """Shared chunking of a validation set for the KNN scorers, whose sort needs
+    whole rows; the TKNN releases use the fixed-shape tiles of ``tknn_tiled_sum``."""
     rows = max(1, min(_SCORE_CHUNK_MAX_ROWS, _SCORE_CHUNK_ELEMS // max(n_train, 1)))
     return [(lo, min(lo + rows, n_val)) for lo in range(0, n_val, rows)]
 

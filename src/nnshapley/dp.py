@@ -17,10 +17,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._rng import TAG_NOISE, TAG_SUBSAMPLE, stream
-from .dataset import Dataset, distance_matrix, sum_over_validation
+from .dataset import Dataset, sum_over_validation
 from .errors import ParameterError
 from .knn import KnnConfig, _old_sorted_batch, knn_score_matrix, knn_sorted_match
-from .tknn import NeighborCounts, TknnConfig, clamp_counts, tknn_gather, tknn_value_table
+from .tknn import NeighborCounts, TknnConfig, clamp_counts, tknn_tiled_sum, tknn_value_table
 from .valuation import MethodDescriptor, ValuationResult
 
 COUNTS_SENSITIVITY = math.sqrt(3.0)  # l2 sensitivity of the counting triple
@@ -151,37 +151,27 @@ def dp_tknn_shapley_all(
     Per validation point: one Poisson subsample (when q < 1), one counting
     pass, one 3-draw privatization, then every owner's score by O(1)
     decrements on the shared privatized triple. Exactly 3 * |dval| Gaussian
-    draws regardless of N. Per chunk, the counts are taken over all rows at
-    once, each row's triple is privatized from its own keyed stream, and the
-    released triples go through :func:`tknn_value_table` and
-    :func:`tknn_gather`, the kernel of the non-private release.
+    draws regardless of N. This is the tiled pass of the non-private release,
+    :func:`nnshapley.tknn.tknn_tiled_sum`: each row's mask comes from its own
+    keyed stream, and each row group's count triples are privatized one row
+    at a time, in validation order, before its value tables are built.
     """
     sigma = params.resolve_sigma(COUNTS_SENSITIVITY)
     released: list[PrivatizedCounts] = []
 
-    def chunk_sum(lo: int, hi: int, norms: np.ndarray | None) -> np.ndarray:
-        dist = distance_matrix(cfg.metric, ds.features, dval.features[lo:hi], norms)
-        within = dist <= cfg.tau
-        match = ds.labels[None, :] == dval.labels[lo:hi][:, None]
-        c = np.full(hi - lo, ds.n)
-        in_nb = within
-        if params.q < 1.0:
-            keys = (stream(params.seed, TAG_SUBSAMPLE, v) for v in range(lo, hi))
-            keep = np.array([_poisson_mask(ds.n, params.q, key) for key in keys])
-            in_nb = within & keep
-            c = keep.sum(axis=1)
-        counts = np.stack([c, 1 + in_nb.sum(axis=1), (in_nb & match).sum(axis=1)], axis=1)
+    def sample(v: int) -> np.ndarray:
+        return _poisson_mask(ds.n, params.q, stream(params.seed, TAG_SUBSAMPLE, v))
+
+    def release(lo: int, *counts: np.ndarray) -> np.ndarray:
         privs = [
             privatize_counts(NeighborCounts(*row), sigma, stream(params.seed, TAG_NOISE, v))
-            for v, row in enumerate(counts.tolist(), start=lo)
+            for v, row in enumerate(np.stack(counts, axis=1).tolist(), start=lo)
         ]
         released.extend(privs)
-        triples = np.array([p.counts.as_tuple() for p in privs], dtype=np.float64)
-        table = tknn_value_table(*triples.T, num_classes)
-        return tknn_gather(table, within, match, in_nb).sum(axis=0)
+        return np.array([p.counts.as_tuple() for p in privs], dtype=np.float64).T
 
-    # One thread keeps ``released`` and the stream keys in validation order.
-    total = sum_over_validation(ds, dval, cfg.metric, chunk_sum, threads=1)
+    subsampled = sample if params.q < 1.0 else None
+    total = tknn_tiled_sum(ds, cfg, dval, num_classes, sample=subsampled, release=release)
     descriptor = MethodDescriptor(
         name="dp-tknn-shapley",
         num_classes=num_classes,
@@ -209,6 +199,7 @@ def dp_knn_shapley_all(
     the owner, and reruns the recursion on it, because the recursion offers
     no way to share one subsample across owners. A subset keeps index order,
     so its (distance, index) order is the kept part of the row's one order.
+    At q = 1 every subsample is the whole set, so none is drawn.
     """
     if cfg.variant != "old":
         raise ParameterError("the DP baseline is defined for the old variant only")
@@ -220,7 +211,7 @@ def dp_knn_shapley_all(
 
     def chunk_sum(lo: int, hi: int, norms: np.ndarray | None) -> np.ndarray:
         features, labels = dval.features[lo:hi], dval.labels[lo:hi]
-        if not subsampled:
+        if params.q == 1.0:  # unsubsampled, or every mask would keep every point
             chunk = knn_score_matrix(ds, cfg, features, labels, num_classes, norms)
         else:
             order, match = knn_sorted_match(ds, cfg.metric, features, labels, norms)

@@ -23,12 +23,28 @@ triple, exact or privatized: it applies the leave-one-out decrements, clamps
 and evaluates the closed form elementwise. :func:`tknn_gather` spreads the
 table over the owners. The plain and the private release and both scalar
 entry points go through this one kernel, so all of them agree bit for bit.
+
+Both releases sum over the validation set in one tiled pass,
+:func:`tknn_tiled_sum`, whose shape does not depend on N: validation rows
+are taken in groups of ``_ROW_GROUP`` and training columns in tiles of
+``_COLUMN_TILE``. Pass 1 computes each tile's distances once, adds the
+tile's threshold counts to each row's integer (c_x, c_zplus) and writes a
+uint8 flag code per (row, point) (:func:`tknn_flag_code`), so a row group
+holds R x N bytes, never a float matrix with a row per validation point.
+The private release privatizes the group's triples here, one row at a time.
+Pass 2 builds the group's value tables, gathers each tile's scores and adds
+the rows to the running total one after the other, starting from the total.
+Every column of the result is therefore ((0 + s_0) + s_1) + ... in
+validation order, whatever R, C or the thread count: worker threads take
+disjoint ranges of columns, and the integer counts are exact in any order.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import digamma
@@ -39,7 +55,7 @@ from .dataset import (
     LabeledPoint,
     distance_matrix,
     distances_to,
-    sum_over_validation,
+    training_norms,
 )
 from .errors import EnumerationLimitError, ParameterError
 from .valuation import MethodDescriptor, SemivalueWeight, ValuationResult
@@ -179,24 +195,36 @@ def tknn_shapley_from_counts(
     return float(tknn_value_table(*full, num_classes)[1, m])
 
 
-def tknn_gather(
-    table: np.ndarray, within: np.ndarray, match: np.ndarray, in_nb: np.ndarray
-) -> np.ndarray:
-    """Score matrix of a chunk of validation rows from their value tables.
+def tknn_flag_code(within: np.ndarray, match: np.ndarray, in_nb: np.ndarray) -> np.ndarray:
+    """Column of every (row, point) in the row's value lookup, as uint8.
+
+    0 for a point outside the threshold, else ``1 + 2 * nb + m``, the entry
+    ``table[r, nb, m]`` of :func:`tknn_gather`'s lookup. ``in_nb`` marks the
+    points of each row's sampled neighbourhood, which is ``within`` itself when
+    nothing is subsampled.
+    """
+    code = in_nb.view(np.uint8) * np.uint8(2)
+    code += match.view(np.uint8)
+    code += np.uint8(1)
+    code *= within.view(np.uint8)
+    return code
+
+
+def tknn_gather(table: np.ndarray, code: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Score matrix of validation rows from their value tables and flag codes.
 
     ``table[r, nb, m]`` is the value of an in-threshold point of row r with
-    neighbourhood flag nb and label match m; points outside the threshold
-    score exactly zero. ``in_nb`` marks the points of each row's sampled
-    neighbourhood, which is ``within`` itself when nothing is subsampled.
+    neighbourhood flag nb and label match m; ``code`` comes from
+    :func:`tknn_flag_code` (any column range of the rows), and code 0, a point
+    outside the threshold, scores exactly zero. One flat gather, written into
+    ``out`` when given.
     """
     rows = table.shape[0]
     lookup = np.zeros((rows, 5))  # column 0 holds the out-of-threshold zero
     lookup[:, 1:] = table.reshape(rows, 4)
-    index = in_nb.view(np.uint8) * np.uint8(2)
-    index += match.view(np.uint8)
-    index += np.uint8(1)
-    index *= within.view(np.uint8)
-    return lookup.reshape(-1)[np.arange(0, 5 * rows, 5)[:, None] + index]
+    index = np.arange(0, 5 * rows, 5)[:, None] + code
+    # Every index is in range; "clip" only lets take write into ``out`` unbuffered.
+    return lookup.reshape(-1).take(index, out=out, mode="clip")
 
 
 def _descriptor(cfg: TknnConfig, num_classes: int, weight: str = "shapley") -> MethodDescriptor:
@@ -227,7 +255,99 @@ def tknn_score_matrix(
     table = tknn_value_table(
         ds.n, 1 + within.sum(axis=1), (within & match).sum(axis=1), num_classes
     )
-    return tknn_gather(table, within, match, within)
+    return tknn_gather(table, tknn_flag_code(within, match, within))
+
+
+_ROW_GROUP = 32  # validation rows per group of the tiled pass
+_COLUMN_TILE = 4096  # training columns per tile: an (R, C) float64 array is 1 MiB
+
+
+def _row_ordered_sum(rows: np.ndarray, out: np.ndarray) -> None:
+    """``out = ((rows[0] + rows[1]) + rows[2]) + ...``, column by column.
+
+    numpy reduces axis 0 of a C-ordered matrix one row after the other, but a
+    single column is one contiguous run that it would sum pairwise.
+    """
+    if rows.shape[1] == 1:
+        out[:] = np.add.accumulate(rows, axis=0)[-1]
+    else:
+        np.add.reduce(rows, axis=0, out=out)
+
+
+def tknn_tiled_sum(
+    ds: Dataset,
+    cfg: TknnConfig,
+    dval: Dataset,
+    num_classes: int,
+    threads: int = 1,
+    sample: Callable[[int], np.ndarray] | None = None,
+    release: Callable[..., Sequence[np.ndarray]] | None = None,
+) -> np.ndarray:
+    """Sum of the TKNN score rows over the validation set, shape (N,).
+
+    ``sample(v)``, when given, is validation point v's Poisson mask of kept
+    training points (its sampled neighbourhood is the kept part of the
+    threshold set, and c is the number kept); ``release(lo, c, c_x, c_zplus)``
+    maps a row group's count triples, starting at validation index ``lo``,
+    to the triples its value tables are built from. Without them this is
+    the plain release. The geometry and order are described in the module
+    docstring; ``threads`` workers take contiguous ranges of column tiles.
+    """
+    if dval.n == 0:
+        raise ParameterError("validation set must be nonempty")
+    n = ds.n
+    norms = training_norms(cfg.metric, ds.features)
+    tiles = [(c0, min(c0 + _COLUMN_TILE, n)) for c0 in range(0, n, _COLUMN_TILE)]
+    workers = max(1, min(threads, len(tiles)))
+    cuts = [w * len(tiles) // workers for w in range(workers + 1)]
+    spans = [tiles[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
+    total = np.zeros(n)
+
+    for lo in range(0, dval.n, _ROW_GROUP):
+        hi = min(lo + _ROW_GROUP, dval.n)
+        features, labels = dval.features[lo:hi], dval.labels[lo:hi, None]
+        if sample is None:
+            code = np.empty((hi - lo, n), dtype=np.uint8)
+            c = np.full(hi - lo, n)
+        else:  # the code array holds the sample masks until pass 1 overwrites them
+            keep = np.array([sample(v) for v in range(lo, hi)])
+            code, c = keep.view(np.uint8), keep.sum(axis=1)
+
+        def count(span: list[tuple[int, int]]) -> np.ndarray:
+            counts = np.zeros((2, hi - lo), dtype=np.int64)  # c_x - 1 and c_zplus
+            for c0, c1 in span:
+                tile_norms = None if norms is None else norms[c0:c1]
+                dist = distance_matrix(cfg.metric, ds.features[c0:c1], features, tile_norms)
+                within = dist <= cfg.tau
+                match = ds.labels[c0:c1] == labels
+                in_nb = within if sample is None else within & code[:, c0:c1].view(bool)
+                counts[0] += in_nb.sum(axis=1)
+                counts[1] += (in_nb & match).sum(axis=1)
+                code[:, c0:c1] = tknn_flag_code(within, match, in_nb)
+            return counts
+
+        def accumulate(span: list[tuple[int, int]]) -> None:
+            for c0, c1 in span:
+                rows = np.empty((hi - lo + 1, c1 - c0))
+                rows[0] = total[c0:c1]
+                tknn_gather(table, code[:, c0:c1], out=rows[1:])
+                _row_ordered_sum(rows, total[c0:c1])
+
+        c_x, c_zplus = sum(_map_spans(count, spans))
+        triples = (c, 1 + c_x, c_zplus)
+        if release is not None:
+            triples = release(lo, *triples)
+        table = tknn_value_table(*triples, num_classes)
+        _map_spans(accumulate, spans)
+    return total
+
+
+def _map_spans(fn: Callable, spans: list) -> list:
+    """``fn`` over the column spans, one worker thread per span when several."""
+    if len(spans) == 1:
+        return [fn(spans[0])]
+    with ThreadPoolExecutor(max_workers=len(spans)) as pool:
+        return list(pool.map(fn, spans))
 
 
 def tknn_shapley_single(
@@ -250,13 +370,7 @@ def tknn_shapley_all(
     threads: int = 1,
 ) -> ValuationResult:
     """Exact TKNN-Shapley summed over a validation set."""
-
-    def chunk_sum(lo: int, hi: int, norms: np.ndarray | None) -> np.ndarray:
-        return tknn_score_matrix(
-            ds, cfg, dval.features[lo:hi], dval.labels[lo:hi], num_classes, norms
-        ).sum(axis=0)
-
-    total = sum_over_validation(ds, dval, cfg.metric, chunk_sum, threads)
+    total = tknn_tiled_sum(ds, cfg, dval, num_classes, threads)
     return ValuationResult(total, _descriptor(cfg, num_classes), validation_size=dval.n)
 
 

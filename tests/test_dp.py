@@ -1,10 +1,12 @@
+import itertools
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from nnshapley import dataset
+from nnshapley import dataset, dp, tknn
 from nnshapley.dataset import (
     Dataset,
     DistanceMetric,
@@ -34,6 +36,10 @@ from tests.conftest import make_instance, pick_tau
 
 EUCLID = DistanceMetric.EUCLIDEAN
 NEGCOS = DistanceMetric.NEGATIVE_COSINE
+
+# (row group, column tile, _SCORE_CHUNK_ELEMS) for the tiled TKNN pass; the
+# first is the default.
+GEOMETRIES = [(32, 4096, 1 << 22), (1, 13, 300), (3, 7, 300), (16, 67, 900)]
 
 
 class TestCalibration:
@@ -163,6 +169,8 @@ class TestDpTknn:
 
     def test_degenerate_release_is_bit_exact_over_chunks(self, monkeypatch):
         monkeypatch.setattr(dataset, "_SCORE_CHUNK_ELEMS", 2_000)
+        monkeypatch.setattr(tknn, "_ROW_GROUP", 7)
+        monkeypatch.setattr(tknn, "_COLUMN_TILE", 50)
         ds = generate_gaussian_synthetic(400, 6, seed=1)
         dval = generate_gaussian_synthetic(80, 6, seed=2)
         assert len(validation_chunks(dval.n, ds.n)) >= 2
@@ -184,11 +192,14 @@ class TestDpTknn:
             assert len(audit) == dval.n  # 3 Gaussian draws per entry
             assert res.method.dp["draws"] == 3 * dval.n
 
-    def test_collusion_resistant_recompute(self):
+    def test_collusion_resistant_recompute(self, monkeypatch):
         # Any owner's released score is reproducible bit-for-bit from the one
-        # privatized triple plus that owner's own attributes.
+        # privatized triple plus that owner's own attributes, also when the
+        # release runs over several row groups and column tiles.
+        monkeypatch.setattr(tknn, "_ROW_GROUP", 2)
+        monkeypatch.setattr(tknn, "_COLUMN_TILE", 16)
         ds = generate_gaussian_synthetic(60, 5, seed=4)
-        dval = generate_gaussian_synthetic(5, 5, seed=5)
+        dval = generate_gaussian_synthetic(7, 5, seed=5)
         cfg = TknnConfig(-0.4, NEGCOS)
         res, audit = dp_tknn_shapley_all(
             ds, cfg, dval, 2, DpParams(delta=1e-4, sigma=3.0, q=1.0, seed=6)
@@ -204,11 +215,13 @@ class TestDpTknn:
                 )
         assert np.array_equal(rebuilt, res.scores)
 
-    def test_collusion_resistant_recompute_with_subsampling(self):
+    def test_collusion_resistant_recompute_with_subsampling(self, monkeypatch):
         # With q < 1 an owner also needs its own subsample membership, which the
         # keyed stream reproduces; in-threshold points outside the sample differ.
+        monkeypatch.setattr(tknn, "_ROW_GROUP", 2)
+        monkeypatch.setattr(tknn, "_COLUMN_TILE", 16)
         ds = generate_gaussian_synthetic(60, 5, seed=4)
-        dval = generate_gaussian_synthetic(5, 5, seed=5)
+        dval = generate_gaussian_synthetic(7, 5, seed=5)
         cfg = TknnConfig(-0.4, NEGCOS)
         params = DpParams(delta=1e-4, sigma=3.0, q=0.5, seed=6)
         res, audit = dp_tknn_shapley_all(ds, cfg, dval, 2, params)
@@ -227,6 +240,32 @@ class TestDpTknn:
                 )
         assert differs
         assert np.array_equal(rebuilt, res.scores)
+
+    @pytest.mark.parametrize("q", [1.0, 0.4])
+    def test_release_does_not_depend_on_geometry_or_chunking(self, monkeypatch, q):
+        # Duplicate validation rows sit in different row groups; at sigma = 0
+        # and q = 1 their released triples must be equal.
+        ds = generate_gaussian_synthetic(202, 5, seed=21)
+        base = generate_gaussian_synthetic(9, 5, seed=22)
+        order = np.r_[np.arange(9), np.arange(9)[::-1], [0, 4, 4, 8, 2]]
+        dval = base.subset(order)
+        cfg = TknnConfig(-0.2, NEGCOS)
+        runs = {}
+        for sigma in (0.0, 0.7):
+            params = DpParams(delta=1e-4, sigma=sigma, q=q, seed=5)
+            for rows, cols, chunk_elems in GEOMETRIES:
+                monkeypatch.setattr(tknn, "_ROW_GROUP", rows)
+                monkeypatch.setattr(tknn, "_COLUMN_TILE", cols)
+                monkeypatch.setattr(dataset, "_SCORE_CHUNK_ELEMS", chunk_elems)
+                res, audit = dp_tknn_shapley_all(ds, cfg, dval, 2, params)
+                triples = [(p.counts.as_tuple(), p.raw_noise_draws) for p in audit]
+                first = runs.setdefault(sigma, (res.scores, triples))
+                assert np.array_equal(res.scores, first[0]) and triples == first[1]
+        if q == 1.0:
+            exact = [counts for counts, _ in runs[0.0][1]]
+            for v, w in itertools.combinations(range(dval.n), 2):
+                if order[v] == order[w]:
+                    assert exact[v] == exact[w]
 
     def test_seeded_determinism_with_subsampling(self):
         ds = generate_gaussian_synthetic(120, 4, seed=7)
@@ -350,6 +389,33 @@ class TestDpKnnBaseline:
             params = DpParams(delta=1e-4, sigma=0.0, q=1.0, seed=6)
             res = dp_knn_shapley_all(ds, cfg, dval, 2, params, subsampled=True)
             assert np.array_equal(res.scores, knn_shapley_all(ds, cfg, dval, 2).scores)
+
+    def test_full_rate_draws_no_subsample(self, monkeypatch):
+        # At q = 1 every mask keeps every point: the subsampled form is the
+        # plain release under its own name, and builds no subsample stream.
+        keys = []
+
+        def counting_stream(seed, *key):
+            keys.append(key)
+            return stream(seed, *key)
+
+        monkeypatch.setattr(dp, "stream", counting_stream)
+        ds = generate_gaussian_synthetic(30, 3, seed=4)
+        dval = generate_gaussian_synthetic(5, 3, seed=5)
+        cfg = KnnConfig(3, NEGCOS, "old")
+        for q, subsample_streams in ((1.0, 0), (0.5, ds.n * dval.n)):
+            keys.clear()
+            params = DpParams(delta=1e-4, sigma=0.2, q=q, seed=6)
+            res = dp_knn_shapley_all(ds, cfg, dval, 2, params, subsampled=True)
+            assert sum(key[0] == TAG_SUBSAMPLE for key in keys) == subsample_streams
+            noise_keys = [key for key in keys if key[0] == TAG_NOISE]
+            assert noise_keys == [(TAG_NOISE, v) for v in range(dval.n)]
+            assert res.method.name == "dp-knn-shapley-old-subsampled"
+            assert res.method.dp == params.manifest(knn_old_sensitivity(3), draws=ds.n * dval.n)
+        plain = dp_knn_shapley_all(ds, cfg, dval, 2, replace(params, q=1.0))
+        keys.clear()
+        full = dp_knn_shapley_all(ds, cfg, dval, 2, replace(params, q=1.0), subsampled=True)
+        assert np.array_equal(full.scores, plain.scores)
 
     def test_requires_old_variant(self):
         ds = generate_gaussian_synthetic(10, 2, seed=1)

@@ -1,11 +1,13 @@
+import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.special import digamma
 
-from nnshapley import dataset
+from nnshapley import dataset, tknn
 from nnshapley.dataset import (
     Dataset,
     DistanceMetric,
@@ -14,6 +16,7 @@ from nnshapley.dataset import (
     generate_gaussian_synthetic,
     validation_chunks,
 )
+from nnshapley.dp import DpParams, dp_tknn_shapley_all
 from nnshapley.errors import EnumerationLimitError, ParameterError
 from nnshapley.tknn import (
     NeighborCounts,
@@ -25,6 +28,7 @@ from nnshapley.tknn import (
     tknn_semivalue_generic,
     tknn_shapley_all,
     tknn_shapley_from_counts,
+    tknn_score_matrix,
     tknn_shapley_single,
     tknn_value_table,
 )
@@ -187,6 +191,100 @@ class TestClosedForm:
         one = tknn_shapley_all(ds, cfg, dval, 2, threads=1).scores
         two = tknn_shapley_all(ds, cfg, dval, 2, threads=2).scores
         assert np.array_equal(one, two)
+
+
+# (row group, column tile) pairs for the tiled pass: single rows, ragged last
+# tiles, a one-column tile under 16-row groups (202 = 3 * 67 + 1; numpy would
+# sum a single column of more than 8 rows pairwise), the default.
+GEOMETRIES = [(1, 13), (3, 7), (16, 67), (8, 50), (32, 4096)]
+
+
+def set_geometry(monkeypatch, rows, cols, chunk_elems=1 << 22):
+    monkeypatch.setattr(tknn, "_ROW_GROUP", rows)
+    monkeypatch.setattr(tknn, "_COLUMN_TILE", cols)
+    monkeypatch.setattr(dataset, "_SCORE_CHUNK_ELEMS", chunk_elems)
+
+
+def duplicated_instance(metric):
+    """202 training points with copies; 13 validation points repeated to 37 rows,
+    so copies sit in different row groups and at different rows of a group."""
+    ds = generate_gaussian_synthetic(200, 5, seed=21)
+    ds = ds.subset(np.r_[np.arange(200), 3, 150])
+    base = generate_gaussian_synthetic(13, 5, seed=22)
+    base = Dataset(base.features, np.arange(13) % 3, 3)
+    order = np.r_[np.arange(13), np.arange(13)[::-1], [0, 5, 5, 12, 3, 3, 7, 0, 9, 1, 1]]
+    tau = -0.2 if metric is NEGCOS else 2.8
+    return ds, base, order, TknnConfig(tau, metric)
+
+
+def row_ordered_sum(rows):
+    total = np.zeros(rows.shape[1])
+    for row in rows:
+        total += row
+    return total
+
+
+@pytest.mark.parametrize("metric", [NEGCOS, EUCLID])
+class TestTiledPass:
+    def test_rows_are_summed_in_validation_order(self, monkeypatch, metric):
+        ds, base, order, cfg = duplicated_instance(metric)
+        dval = base.subset(order)
+        matrix = tknn_score_matrix(ds, cfg, dval.features, dval.labels, 3)
+        expected = row_ordered_sum(matrix)
+        for rows, cols in GEOMETRIES:
+            set_geometry(monkeypatch, rows, cols)
+            assert np.array_equal(tknn_shapley_all(ds, cfg, dval, 3).scores, expected)
+
+    def test_scores_do_not_depend_on_geometry_chunking_or_threads(self, monkeypatch, metric):
+        ds, base, order, cfg = duplicated_instance(metric)
+        dval = base.subset(order)
+        reference = tknn_shapley_all(ds, cfg, dval, 3).scores
+        for (rows, cols), chunk_elems in itertools.product(GEOMETRIES, (300, 1 << 22)):
+            set_geometry(monkeypatch, rows, cols, chunk_elems)
+            for threads in (1, 2, 3):
+                scores = tknn_shapley_all(ds, cfg, dval, 3, threads).scores
+                assert np.array_equal(scores, reference), (rows, cols, chunk_elems, threads)
+
+    def test_duplicate_validation_rows_contribute_identically(self, monkeypatch, metric):
+        # Every copy of a validation point adds exactly the point's own score row.
+        ds, base, order, cfg = duplicated_instance(metric)
+        base_rows = tknn_score_matrix(ds, cfg, base.features, base.labels, 3)
+        expected = row_ordered_sum(base_rows[order])
+        for rows, cols in GEOMETRIES:
+            set_geometry(monkeypatch, rows, cols)
+            for threads in (1, 2):
+                scores = tknn_shapley_all(ds, cfg, base.subset(order), 3, threads).scores
+                assert np.array_equal(scores, expected), (rows, cols, threads)
+
+
+@pytest.fixture(scope="module")
+def large_instance():
+    ds = generate_gaussian_synthetic(200_000, 10, seed=1)
+    return ds, generate_gaussian_synthetic(64, 10, seed=2)
+
+
+@pytest.mark.parametrize("private", [False, True])
+def test_peak_memory_stays_far_below_one_score_matrix(large_instance, private):
+    # One V x N float64 matrix at N = 2e5, V = 64 is 102.4 MB. The tiled pass
+    # holds a 32 x N uint8 flag code (6.4 MB), a few (N,) float64 vectors
+    # (1.6 MB each), (32, 4096) tile temporaries (1 MiB each) and, for q < 1,
+    # one row's Poisson draws (1.6 MB); computing the training norms briefly
+    # holds an N x d float64 square (16 MB). A quarter of the matrix bounds all
+    # of that with room to spare; a pass holding (V, N) float64 work arrays
+    # for more than a quarter of the validation rows at once does not fit.
+    ds, dval = large_instance
+    cfg = TknnConfig(-0.5, NEGCOS)
+    matrix_bytes = dval.n * ds.n * 8
+    tracemalloc.start()
+    try:
+        if private:
+            dp_tknn_shapley_all(ds, cfg, dval, 2, DpParams(delta=1e-5, sigma=1.0, q=0.5, seed=3))
+        else:
+            tknn_shapley_all(ds, cfg, dval, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < matrix_bytes / 4, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestA2:
