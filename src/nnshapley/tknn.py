@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -243,14 +244,9 @@ def tknn_score_matrix(
     val_features: np.ndarray,
     val_labels: np.ndarray,
     num_classes: int,
-    train_norms: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Score matrix (one row per validation point), O(N) per row.
-
-    ``train_norms`` are the training norms from :func:`training_norms`, which
-    a caller looping over validation chunks computes once.
-    """
-    within = distance_matrix(cfg.metric, ds.features, val_features, train_norms) <= cfg.tau
+    """Score matrix (one row per validation point), O(N) per row."""
+    within = distance_matrix(cfg.metric, ds.features, val_features) <= cfg.tau
     match = ds.labels[None, :] == np.asarray(val_labels)[:, None]
     table = tknn_value_table(
         ds.n, 1 + within.sum(axis=1), (within & match).sum(axis=1), num_classes
@@ -291,7 +287,8 @@ def tknn_tiled_sum(
     maps a row group's count triples, starting at validation index ``lo``,
     to the triples its value tables are built from. Without them this is
     the plain release. The geometry and order are described in the module
-    docstring; ``threads`` workers take contiguous ranges of column tiles.
+    docstring; ``threads`` workers, one pool for the whole pass, take
+    contiguous ranges of column tiles.
     """
     if dval.n == 0:
         raise ParameterError("validation set must be nonempty")
@@ -303,51 +300,45 @@ def tknn_tiled_sum(
     spans = [tiles[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
     total = np.zeros(n)
 
-    for lo in range(0, dval.n, _ROW_GROUP):
-        hi = min(lo + _ROW_GROUP, dval.n)
-        features, labels = dval.features[lo:hi], dval.labels[lo:hi, None]
-        if sample is None:
-            code = np.empty((hi - lo, n), dtype=np.uint8)
-            c = np.full(hi - lo, n)
-        else:  # the code array holds the sample masks until pass 1 overwrites them
-            keep = np.array([sample(v) for v in range(lo, hi)])
-            code, c = keep.view(np.uint8), keep.sum(axis=1)
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        mapper = map if pool is None else pool.map
+        for lo in range(0, dval.n, _ROW_GROUP):
+            hi = min(lo + _ROW_GROUP, dval.n)
+            features, labels = dval.features[lo:hi], dval.labels[lo:hi, None]
+            if sample is None:
+                code = np.empty((hi - lo, n), dtype=np.uint8)
+                c = np.full(hi - lo, n)
+            else:  # the code array holds the sample masks until pass 1 overwrites them
+                keep = np.array([sample(v) for v in range(lo, hi)])
+                code, c = keep.view(np.uint8), keep.sum(axis=1)
 
-        def count(span: list[tuple[int, int]]) -> np.ndarray:
-            counts = np.zeros((2, hi - lo), dtype=np.int64)  # c_x - 1 and c_zplus
-            for c0, c1 in span:
-                tile_norms = None if norms is None else norms[c0:c1]
-                dist = distance_matrix(cfg.metric, ds.features[c0:c1], features, tile_norms)
-                within = dist <= cfg.tau
-                match = ds.labels[c0:c1] == labels
-                in_nb = within if sample is None else within & code[:, c0:c1].view(bool)
-                counts[0] += in_nb.sum(axis=1)
-                counts[1] += (in_nb & match).sum(axis=1)
-                code[:, c0:c1] = tknn_flag_code(within, match, in_nb)
-            return counts
+            def count(span: list[tuple[int, int]]) -> np.ndarray:
+                counts = np.zeros((2, hi - lo), dtype=np.int64)  # c_x - 1 and c_zplus
+                for c0, c1 in span:
+                    tile_norms = None if norms is None else norms[c0:c1]
+                    dist = distance_matrix(cfg.metric, ds.features[c0:c1], features, tile_norms)
+                    within = dist <= cfg.tau
+                    match = ds.labels[c0:c1] == labels
+                    in_nb = within if sample is None else within & code[:, c0:c1].view(bool)
+                    counts[0] += in_nb.sum(axis=1)
+                    counts[1] += (in_nb & match).sum(axis=1)
+                    code[:, c0:c1] = tknn_flag_code(within, match, in_nb)
+                return counts
 
-        def accumulate(span: list[tuple[int, int]]) -> None:
-            for c0, c1 in span:
-                rows = np.empty((hi - lo + 1, c1 - c0))
-                rows[0] = total[c0:c1]
-                tknn_gather(table, code[:, c0:c1], out=rows[1:])
-                _row_ordered_sum(rows, total[c0:c1])
+            def accumulate(span: list[tuple[int, int]]) -> None:
+                for c0, c1 in span:
+                    rows = np.empty((hi - lo + 1, c1 - c0))
+                    rows[0] = total[c0:c1]
+                    tknn_gather(table, code[:, c0:c1], out=rows[1:])
+                    _row_ordered_sum(rows, total[c0:c1])
 
-        c_x, c_zplus = sum(_map_spans(count, spans))
-        triples = (c, 1 + c_x, c_zplus)
-        if release is not None:
-            triples = release(lo, *triples)
-        table = tknn_value_table(*triples, num_classes)
-        _map_spans(accumulate, spans)
+            c_x, c_zplus = sum(mapper(count, spans))
+            triples = (c, 1 + c_x, c_zplus)
+            if release is not None:
+                triples = release(lo, *triples)
+            table = tknn_value_table(*triples, num_classes)
+            list(mapper(accumulate, spans))
     return total
-
-
-def _map_spans(fn: Callable, spans: list) -> list:
-    """``fn`` over the column spans, one worker thread per span when several."""
-    if len(spans) == 1:
-        return [fn(spans[0])]
-    with ThreadPoolExecutor(max_workers=len(spans)) as pool:
-        return list(pool.map(fn, spans))
 
 
 def tknn_shapley_single(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from nnshapley import dataset
 from nnshapley.dataset import Dataset, DistanceMetric, distances_to
 
 
@@ -42,3 +43,13 @@ def pick_tau(rng: np.random.Generator, ds: Dataset, zval, metric: DistanceMetric
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240801)
+
+
+@pytest.fixture
+def no_validation_chunks(monkeypatch) -> None:
+    """Fail a test whose valuation falls back on the chunked validation driver."""
+
+    def chunks(*args):
+        raise AssertionError("validation_chunks called")
+
+    monkeypatch.setattr(dataset, "validation_chunks", chunks)

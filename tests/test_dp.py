@@ -37,9 +37,8 @@ from tests.conftest import make_instance, pick_tau
 EUCLID = DistanceMetric.EUCLIDEAN
 NEGCOS = DistanceMetric.NEGATIVE_COSINE
 
-# (row group, column tile, _SCORE_CHUNK_ELEMS) for the tiled TKNN pass; the
-# first is the default.
-GEOMETRIES = [(32, 4096, 1 << 22), (1, 13, 300), (3, 7, 300), (16, 67, 900)]
+# (row group, column tile) for the tiled TKNN pass; the first is the default.
+GEOMETRIES = [(32, 4096), (1, 13), (3, 7), (16, 67)]
 
 
 class TestCalibration:
@@ -168,12 +167,10 @@ class TestDpTknn:
         assert all(p.raw_noise_draws == (0.0, 0.0, 0.0) for p in audit)
 
     def test_degenerate_release_is_bit_exact_over_chunks(self, monkeypatch):
-        monkeypatch.setattr(dataset, "_SCORE_CHUNK_ELEMS", 2_000)
         monkeypatch.setattr(tknn, "_ROW_GROUP", 7)
         monkeypatch.setattr(tknn, "_COLUMN_TILE", 50)
         ds = generate_gaussian_synthetic(400, 6, seed=1)
         dval = generate_gaussian_synthetic(80, 6, seed=2)
-        assert len(validation_chunks(dval.n, ds.n)) >= 2
         cfg = TknnConfig(-0.3, NEGCOS)
         nonpriv = tknn_shapley_all(ds, cfg, dval, 2, threads=2)
         priv_res, _ = dp_tknn_shapley_all(
@@ -242,7 +239,9 @@ class TestDpTknn:
         assert np.array_equal(rebuilt, res.scores)
 
     @pytest.mark.parametrize("q", [1.0, 0.4])
-    def test_release_does_not_depend_on_geometry_or_chunking(self, monkeypatch, q):
+    def test_release_does_not_depend_on_geometry_or_chunking(
+        self, monkeypatch, no_validation_chunks, q
+    ):
         # Duplicate validation rows sit in different row groups; at sigma = 0
         # and q = 1 their released triples must be equal.
         ds = generate_gaussian_synthetic(202, 5, seed=21)
@@ -253,10 +252,9 @@ class TestDpTknn:
         runs = {}
         for sigma in (0.0, 0.7):
             params = DpParams(delta=1e-4, sigma=sigma, q=q, seed=5)
-            for rows, cols, chunk_elems in GEOMETRIES:
+            for rows, cols in GEOMETRIES:
                 monkeypatch.setattr(tknn, "_ROW_GROUP", rows)
                 monkeypatch.setattr(tknn, "_COLUMN_TILE", cols)
-                monkeypatch.setattr(dataset, "_SCORE_CHUNK_ELEMS", chunk_elems)
                 res, audit = dp_tknn_shapley_all(ds, cfg, dval, 2, params)
                 triples = [(p.counts.as_tuple(), p.raw_noise_draws) for p in audit]
                 first = runs.setdefault(sigma, (res.scores, triples))

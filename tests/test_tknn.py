@@ -1,4 +1,3 @@
-import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -7,14 +6,13 @@ import numpy as np
 import pytest
 from scipy.special import digamma
 
-from nnshapley import dataset, tknn
+from nnshapley import tknn
 from nnshapley.dataset import (
     Dataset,
     DistanceMetric,
     LabeledPoint,
     distance,
     generate_gaussian_synthetic,
-    validation_chunks,
 )
 from nnshapley.dp import DpParams, dp_tknn_shapley_all
 from nnshapley.errors import EnumerationLimitError, ParameterError
@@ -183,10 +181,9 @@ class TestClosedForm:
         assert np.max(np.abs(total.scores - summed)) < 1e-12
 
     def test_thread_count_does_not_change_scores(self, monkeypatch):
-        monkeypatch.setattr(dataset, "_SCORE_CHUNK_ELEMS", 2_000)
+        set_geometry(monkeypatch, 16, 64)  # 7 tiles, so two workers split them
         ds = generate_gaussian_synthetic(400, 5, seed=3)
         dval = generate_gaussian_synthetic(80, 5, seed=4)
-        assert len(validation_chunks(dval.n, ds.n)) >= 2
         cfg = TknnConfig(-0.2, NEGCOS)
         one = tknn_shapley_all(ds, cfg, dval, 2, threads=1).scores
         two = tknn_shapley_all(ds, cfg, dval, 2, threads=2).scores
@@ -199,10 +196,9 @@ class TestClosedForm:
 GEOMETRIES = [(1, 13), (3, 7), (16, 67), (8, 50), (32, 4096)]
 
 
-def set_geometry(monkeypatch, rows, cols, chunk_elems=1 << 22):
+def set_geometry(monkeypatch, rows, cols):
     monkeypatch.setattr(tknn, "_ROW_GROUP", rows)
     monkeypatch.setattr(tknn, "_COLUMN_TILE", cols)
-    monkeypatch.setattr(dataset, "_SCORE_CHUNK_ELEMS", chunk_elems)
 
 
 def duplicated_instance(metric):
@@ -235,15 +231,17 @@ class TestTiledPass:
             set_geometry(monkeypatch, rows, cols)
             assert np.array_equal(tknn_shapley_all(ds, cfg, dval, 3).scores, expected)
 
-    def test_scores_do_not_depend_on_geometry_chunking_or_threads(self, monkeypatch, metric):
+    def test_scores_do_not_depend_on_geometry_chunking_or_threads(
+        self, monkeypatch, no_validation_chunks, metric
+    ):
         ds, base, order, cfg = duplicated_instance(metric)
         dval = base.subset(order)
         reference = tknn_shapley_all(ds, cfg, dval, 3).scores
-        for (rows, cols), chunk_elems in itertools.product(GEOMETRIES, (300, 1 << 22)):
-            set_geometry(monkeypatch, rows, cols, chunk_elems)
+        for rows, cols in GEOMETRIES:
+            set_geometry(monkeypatch, rows, cols)
             for threads in (1, 2, 3):
                 scores = tknn_shapley_all(ds, cfg, dval, 3, threads).scores
-                assert np.array_equal(scores, reference), (rows, cols, chunk_elems, threads)
+                assert np.array_equal(scores, reference), (rows, cols, threads)
 
     def test_duplicate_validation_rows_contribute_identically(self, monkeypatch, metric):
         # Every copy of a validation point adds exactly the point's own score row.
