@@ -187,12 +187,14 @@ def _parse_kv(text: str, what: str) -> dict[str, int]:
         key, _, value = part.partition("=")
         try:
             out[key.strip()] = int(float(value))
-        except ValueError:
+        except (ValueError, OverflowError):  # int() rejects nan and inf
             raise ParameterError(f"bad {what} value {value!r}") from None
     return out
 
 
 def _load_datasets(args: argparse.Namespace) -> tuple[Dataset, Dataset]:
+    if args.threads < 1:
+        raise ParameterError(f"--threads must be at least 1; got {args.threads}")
     if (args.train is None) == (args.synthetic is None):
         raise ParameterError("provide exactly one of --train and --synthetic")
     label_column: int | str

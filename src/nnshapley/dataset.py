@@ -11,11 +11,12 @@ import csv
 import json
 import re
 import warnings
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, NoReturn, Sequence
+from typing import Any, Callable, Iterable, NoReturn, Sequence
 
 import numpy as np
 
@@ -243,8 +244,8 @@ _SCORE_CHUNK_MAX_ROWS = 512
 
 
 def validation_chunks(n_val: int, n_train: int) -> list[tuple[int, int]]:
-    """Shared chunking of a validation set for the KNN scorers, whose sort needs
-    whole rows; the TKNN releases use the fixed-shape tiles of ``tknn_tiled_sum``."""
+    """Row groups of the KNN scorers, whose sort needs whole rows, so a group's
+    height is set by N; the TKNN releases use fixed groups of ``_ROW_GROUP``."""
     rows = max(1, min(_SCORE_CHUNK_MAX_ROWS, _SCORE_CHUNK_ELEMS // max(n_train, 1)))
     return [(lo, min(lo + rows, n_val)) for lo in range(0, n_val, rows)]
 
@@ -253,30 +254,40 @@ def sum_over_validation(
     ds: Dataset,
     dval: Dataset,
     metric: DistanceMetric,
-    chunk_sum: Callable[[int, int, np.ndarray | None], np.ndarray],
+    groups: Sequence[tuple[int, int]],
+    work: Callable[[int, int, np.ndarray | None], Any],
+    add: Callable[[np.ndarray, Any], object],
     threads: int = 1,
 ) -> np.ndarray:
     """Sum of the per-point score vectors over the validation set, shape (N,).
 
-    Rejects an empty validation set, computes the training norms once and
-    calls ``chunk_sum(lo, hi, norms)`` for each :func:`validation_chunks`
-    slice, on up to ``threads`` workers when there is more than one chunk.
-    Each chunk's (N,) sum is added to the running total in chunk order, so the
-    result is bit-identical at any ``threads``. A DP release passes
-    ``threads=1`` so that its keyed noise streams are drawn in order.
+    The one loop over validation rows of every release. It rejects an empty
+    validation set, computes the training norms once and runs
+    ``work(lo, hi, norms)`` for each row group ``(lo, hi)`` of ``groups``, on
+    up to ``threads`` workers and never more than ``threads + 1`` results
+    ahead of the running total. ``add(total, part)`` folds one group's result
+    into the (N,) total in place (``operator.iadd`` adds a group's summed
+    rows); it runs in the calling thread, one group at a time in validation
+    order. So ``work`` may run in any order and on any thread, while what
+    ``add`` does (adding rows, privatizing counts) happens as in a
+    single-threaded loop, and the result is bit-identical at any ``threads``.
     """
     if dval.n == 0:
         raise ParameterError("validation set must be nonempty")
-    chunks = validation_chunks(dval.n, ds.n)
     norms = training_norms(metric, ds.features)
     total = np.zeros(ds.n)
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(lambda bounds: chunk_sum(*bounds, norms), chunks):
-                total += part
-    else:
-        for lo, hi in chunks:
-            total += chunk_sum(lo, hi, norms)
+    if threads < 2 or len(groups) < 2:
+        for lo, hi in groups:
+            add(total, work(lo, hi, norms))
+        return total
+    with ThreadPoolExecutor(threads) as pool:
+        pending = deque()
+        for lo, hi in groups:
+            pending.append(pool.submit(work, lo, hi, norms))
+            if len(pending) > threads:
+                add(total, pending.popleft().result())
+        while pending:
+            add(total, pending.popleft().result())
     return total
 
 

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from operator import iadd
 
 import numpy as np
 
 from ._rng import TAG_NOISE, TAG_SUBSAMPLE, stream
-from .dataset import Dataset, sum_over_validation
+from .dataset import Dataset, sum_over_validation, validation_chunks
 from .errors import ParameterError
 from .knn import KnnConfig, _old_sorted_batch, knn_score_matrix, knn_sorted_match
 from .tknn import NeighborCounts, TknnConfig, clamp_counts, tknn_tiled_sum, tknn_value_table
@@ -230,7 +231,7 @@ def dp_knn_shapley_all(
                 row += stream(params.seed, TAG_NOISE, v).normal(0.0, sigma, n)
         return chunk.sum(axis=0)
 
-    total = sum_over_validation(ds, dval, cfg.metric, chunk_sum, threads=1)
+    total = sum_over_validation(ds, dval, cfg.metric, validation_chunks(dval.n, n), chunk_sum, iadd)
     descriptor = MethodDescriptor(
         name="dp-knn-shapley-old" + ("-subsampled" if subsampled else ""),
         num_classes=num_classes,

@@ -8,17 +8,21 @@ batches that share one distance matrix.
 
 Ties: training points at equal distance from a validation point are ordered
 by training index, as a stable sort would order them and as the enumeration
-oracle does. The order, and with it every score, is the same whatever the
-validation chunking or thread count.
+oracle does. The order is the same whatever the validation chunking or
+thread count. The chunk sums are added in validation order, so scores do not
+depend on the thread count; the chunk height, which N sets, decides which
+rows are added together first, and with it the last bits of a score.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import iadd
 
 import numpy as np
 
-from .dataset import Dataset, DistanceMetric, LabeledPoint, distance_matrix, sum_over_validation
+from .dataset import Dataset, DistanceMetric, LabeledPoint, distance_matrix
+from .dataset import sum_over_validation, validation_chunks
 from .errors import ParameterError
 from .valuation import MethodDescriptor, ValuationResult
 
@@ -207,5 +211,6 @@ def knn_shapley_all(
             ds, cfg, dval.features[lo:hi], dval.labels[lo:hi], num_classes, norms
         ).sum(axis=0)
 
-    total = sum_over_validation(ds, dval, cfg.metric, chunk_sum, threads)
+    chunks = validation_chunks(dval.n, ds.n)
+    total = sum_over_validation(ds, dval, cfg.metric, chunks, chunk_sum, iadd, threads)
     return ValuationResult(total, _descriptor(cfg, num_classes), validation_size=dval.n)

@@ -27,23 +27,25 @@ entry points go through this one kernel, so all of them agree bit for bit.
 Both releases sum over the validation set in one tiled pass,
 :func:`tknn_tiled_sum`, whose shape does not depend on N: validation rows
 are taken in groups of ``_ROW_GROUP`` and training columns in tiles of
-``_COLUMN_TILE``. Pass 1 computes each tile's distances once, adds the
-tile's threshold counts to each row's integer (c_x, c_zplus) and writes a
-uint8 flag code per (row, point) (:func:`tknn_flag_code`), so a row group
-holds R x N bytes, never a float matrix with a row per validation point.
-The private release privatizes the group's triples here, one row at a time.
-Pass 2 builds the group's value tables, gathers each tile's scores and adds
-the rows to the running total one after the other, starting from the total.
-Every column of the result is therefore ((0 + s_0) + s_1) + ... in
-validation order, whatever R, C or the thread count: worker threads take
-disjoint ranges of columns, and the integer counts are exact in any order.
+``_COLUMN_TILE``, and the row groups go through the one validation driver,
+:func:`nnshapley.dataset.sum_over_validation`. Pass 1 is the driver's
+``work``: it computes each tile's distances once, adds the tile's threshold
+counts to each row's integer (c_x, c_zplus) and writes a uint8 flag code per
+(row, point) (:func:`tknn_flag_code`), so a row group holds R x N bytes,
+never a float matrix with a row per validation point. It reads nothing but
+the data and its own group, so worker threads may run it for several groups
+at once. Pass 2 is the driver's ``add``, which runs in the calling thread,
+one group at a time in validation order: the private release privatizes
+the group's triples there, one row at a time; then it builds the group's
+value tables, gathers each tile's scores and adds the rows to the running
+total one after the other, starting from the total. Every column of the
+result is therefore ((0 + s_0) + s_1) + ... in validation order, whatever
+R, C or the thread count, and the integer counts are exact in any order.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -56,7 +58,7 @@ from .dataset import (
     LabeledPoint,
     distance_matrix,
     distances_to,
-    training_norms,
+    sum_over_validation,
 )
 from .errors import EnumerationLimitError, ParameterError
 from .valuation import MethodDescriptor, SemivalueWeight, ValuationResult
@@ -286,59 +288,47 @@ def tknn_tiled_sum(
     threshold set, and c is the number kept); ``release(lo, c, c_x, c_zplus)``
     maps a row group's count triples, starting at validation index ``lo``,
     to the triples its value tables are built from. Without them this is
-    the plain release. The geometry and order are described in the module
-    docstring; ``threads`` workers, one pool for the whole pass, take
-    contiguous ranges of column tiles.
+    the plain release. :func:`nnshapley.dataset.sum_over_validation` drives
+    the row groups: pass 1 is its ``work``, which may run on ``threads``
+    workers, and ``release`` with pass 2 is its ``add``, which runs in the
+    calling thread in validation order (see the module docstring).
     """
-    if dval.n == 0:
-        raise ParameterError("validation set must be nonempty")
     n = ds.n
-    norms = training_norms(cfg.metric, ds.features)
     tiles = [(c0, min(c0 + _COLUMN_TILE, n)) for c0 in range(0, n, _COLUMN_TILE)]
-    workers = max(1, min(threads, len(tiles)))
-    cuts = [w * len(tiles) // workers for w in range(workers + 1)]
-    spans = [tiles[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
-    total = np.zeros(n)
 
-    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        mapper = map if pool is None else pool.map
-        for lo in range(0, dval.n, _ROW_GROUP):
-            hi = min(lo + _ROW_GROUP, dval.n)
-            features, labels = dval.features[lo:hi], dval.labels[lo:hi, None]
-            if sample is None:
-                code = np.empty((hi - lo, n), dtype=np.uint8)
-                c = np.full(hi - lo, n)
-            else:  # the code array holds the sample masks until pass 1 overwrites them
-                keep = np.array([sample(v) for v in range(lo, hi)])
-                code, c = keep.view(np.uint8), keep.sum(axis=1)
+    def count(lo: int, hi: int, norms: np.ndarray | None) -> tuple:
+        features, labels = dval.features[lo:hi], dval.labels[lo:hi, None]
+        if sample is None:
+            code = np.empty((hi - lo, n), dtype=np.uint8)
+            c = np.full(hi - lo, n)
+        else:  # the code array holds the sample masks until the tiles overwrite them
+            keep = np.array([sample(v) for v in range(lo, hi)])
+            code, c = keep.view(np.uint8), keep.sum(axis=1)
+        counts = np.zeros((2, hi - lo), dtype=np.int64)  # c_x - 1 and c_zplus
+        for c0, c1 in tiles:
+            tile_norms = None if norms is None else norms[c0:c1]
+            dist = distance_matrix(cfg.metric, ds.features[c0:c1], features, tile_norms)
+            within = dist <= cfg.tau
+            match = ds.labels[c0:c1] == labels
+            in_nb = within if sample is None else within & code[:, c0:c1].view(bool)
+            counts[0] += in_nb.sum(axis=1)
+            counts[1] += (in_nb & match).sum(axis=1)
+            code[:, c0:c1] = tknn_flag_code(within, match, in_nb)
+        return lo, code, (c, 1 + counts[0], counts[1])
 
-            def count(span: list[tuple[int, int]]) -> np.ndarray:
-                counts = np.zeros((2, hi - lo), dtype=np.int64)  # c_x - 1 and c_zplus
-                for c0, c1 in span:
-                    tile_norms = None if norms is None else norms[c0:c1]
-                    dist = distance_matrix(cfg.metric, ds.features[c0:c1], features, tile_norms)
-                    within = dist <= cfg.tau
-                    match = ds.labels[c0:c1] == labels
-                    in_nb = within if sample is None else within & code[:, c0:c1].view(bool)
-                    counts[0] += in_nb.sum(axis=1)
-                    counts[1] += (in_nb & match).sum(axis=1)
-                    code[:, c0:c1] = tknn_flag_code(within, match, in_nb)
-                return counts
+    def accumulate(total: np.ndarray, part: tuple) -> None:
+        lo, code, triples = part
+        if release is not None:
+            triples = release(lo, *triples)
+        table = tknn_value_table(*triples, num_classes)
+        for c0, c1 in tiles:
+            rows = np.empty((len(code) + 1, c1 - c0))
+            rows[0] = total[c0:c1]
+            tknn_gather(table, code[:, c0:c1], out=rows[1:])
+            _row_ordered_sum(rows, total[c0:c1])
 
-            def accumulate(span: list[tuple[int, int]]) -> None:
-                for c0, c1 in span:
-                    rows = np.empty((hi - lo + 1, c1 - c0))
-                    rows[0] = total[c0:c1]
-                    tknn_gather(table, code[:, c0:c1], out=rows[1:])
-                    _row_ordered_sum(rows, total[c0:c1])
-
-            c_x, c_zplus = sum(mapper(count, spans))
-            triples = (c, 1 + c_x, c_zplus)
-            if release is not None:
-                triples = release(lo, *triples)
-            table = tknn_value_table(*triples, num_classes)
-            list(mapper(accumulate, spans))
-    return total
+    groups = [(lo, min(lo + _ROW_GROUP, dval.n)) for lo in range(0, dval.n, _ROW_GROUP)]
+    return sum_over_validation(ds, dval, cfg.metric, groups, count, accumulate, threads)
 
 
 def tknn_shapley_single(

@@ -315,6 +315,45 @@ def test_bad_hyperparameter_exits_2_before_data(tmp_path, monkeypatch, command, 
     assert not out.exists()
 
 
+_THREADED_COMMANDS = {
+    "value": ["value", "--synthetic", "n=50,d=3", "--method", "tknn"],
+    "dp-value": ["dp-value", "--synthetic", "n=50,d=3", "--method", "dp-tknn", "--sigma", "1.0"],
+    "detect": ["detect", "--synthetic", "n=50,d=3", "--corruption", "flip"],
+}
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+@pytest.mark.parametrize("command", list(_THREADED_COMMANDS))
+def test_threads_below_one_exit_2_before_data(tmp_path, monkeypatch, capsys, command, threads):
+    def no_data(*args, **kwargs):
+        raise AssertionError("data generated before --threads was validated")
+
+    monkeypatch.setattr("nnshapley.cli.generate_gaussian_synthetic", no_data)
+    out = tmp_path / "x.json"
+    code = run_cli(_THREADED_COMMANDS[command] + ["--threads", threads, "--output", str(out)])
+    assert code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        pytest.param(["value", "--synthetic", "n=inf,d=3"], id="n-inf"),
+        pytest.param(["value", "--synthetic", "n=50,d=inf"], id="d-inf"),
+        pytest.param(["value", "--synthetic", "n=50,d=3", "--synthetic-val", "n=inf"],
+                     id="val-n-inf"),
+        pytest.param(["value", "--synthetic", "n=-inf,d=3"], id="n-minus-inf"),
+        pytest.param(["attack", "--synthetic", "d=inf"], id="attack-d-inf"),
+    ],
+)
+def test_infinite_synthetic_size_is_a_usage_error(tmp_path, capsys, args):
+    out = tmp_path / "x.json"
+    assert run_cli(args + ["--output", str(out)]) == 2
+    assert "bad --synthetic" in capsys.readouterr().err
+    assert not out.exists()
+
+
 _DP_VALUE = ["dp-value", "--synthetic", "n=30,d=3", "--synthetic-val", "n=4",
              "--method", "dp-tknn"]
 _ACCOUNT = ["account", "--mechanisms", "4"]

@@ -1,8 +1,13 @@
 import csv
+import sys
+import threading
+import time
+from operator import iadd
 
 import numpy as np
 import pytest
 
+from nnshapley import dataset as dataset_module
 from nnshapley.dataset import (
     Dataset,
     DistanceMetric,
@@ -16,7 +21,6 @@ from nnshapley.dataset import (
     load_csv,
     sum_over_validation,
     training_norms,
-    validation_chunks,
 )
 from nnshapley.errors import DataError, DataWarning, ParameterError
 
@@ -249,43 +253,131 @@ class TestDistance:
             assert np.array_equal(mat[:, 3], mat[:, 7])
 
 
+# Seven row groups of a 20-row validation set, as a caller hands them in.
+GROUPS = [(0, 3), (3, 6), (6, 9), (9, 12), (12, 15), (15, 18), (18, 20)]
+
+
 class TestSumOverValidation:
     @staticmethod
-    def chunk_part(lo, hi, n):
+    def part(lo, hi, n):
         # Magnitudes over 16 decades, so the sum depends on the order of terms.
         rng = np.random.default_rng(lo * 1000 + hi)
         return rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
 
+    @pytest.fixture
+    def data(self):
+        return generate_gaussian_synthetic(30, 4, seed=1), generate_gaussian_synthetic(20, 4, seed=2)
+
     @pytest.mark.parametrize("threads", [1, 2, 3])
-    def test_chunk_order_sum_at_any_thread_count(self, monkeypatch, threads):
-        monkeypatch.setattr("nnshapley.dataset._SCORE_CHUNK_MAX_ROWS", 3)
-        ds = generate_gaussian_synthetic(30, 4, seed=1)
-        dval = generate_gaussian_synthetic(20, 4, seed=2)
-        chunks = validation_chunks(dval.n, ds.n)
-        assert len(chunks) == 7
+    def test_chunk_order_sum_at_any_thread_count(self, monkeypatch, data, threads):
+        ds, dval = data
         norms_once = training_norms(DistanceMetric.NEGATIVE_COSINE, ds.features)
+        norm_calls = []
+
+        def counted_norms(*args):
+            norm_calls.append(args)
+            return training_norms(*args)
+
+        monkeypatch.setattr(dataset_module, "training_norms", counted_norms)
         seen = []
 
-        def chunk_sum(lo, hi, norms):
+        def work(lo, hi, norms):
             assert np.array_equal(norms, norms_once)
             seen.append((lo, hi))
-            return self.chunk_part(lo, hi, ds.n)
+            return self.part(lo, hi, ds.n)
 
-        total = sum_over_validation(ds, dval, DistanceMetric.NEGATIVE_COSINE, chunk_sum, threads)
-        expected = np.zeros(ds.n)
-        for lo, hi in chunks:
-            expected += self.chunk_part(lo, hi, ds.n)
+        total = sum_over_validation(
+            ds, dval, DistanceMetric.NEGATIVE_COSINE, GROUPS, work, iadd, threads
+        )
+        expected, backwards = np.zeros(ds.n), np.zeros(ds.n)
+        for lo, hi in GROUPS:
+            expected += self.part(lo, hi, ds.n)
+        for lo, hi in GROUPS[::-1]:
+            backwards += self.part(lo, hi, ds.n)
+        assert not np.array_equal(expected, backwards)  # the order shows in the bits
         assert np.array_equal(total, expected)
-        assert sorted(seen) == chunks
+        assert sorted(seen) == GROUPS
+        assert len(norm_calls) == 1
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_add_runs_on_the_calling_thread_in_group_order(self, data, threads):
+        ds, dval = data
+        caller = threading.get_ident()
+        workers, added = set(), []
+
+        def work(lo, hi, norms):
+            workers.add(threading.get_ident())
+            time.sleep(0.002 * (20 - lo))  # later groups finish first when threaded
+            return lo, hi
+
+        def add(total, part):
+            assert threading.get_ident() == caller
+            added.append(part)
+
+        sum_over_validation(ds, dval, DistanceMetric.EUCLIDEAN, GROUPS, work, add, threads)
+        assert added == GROUPS
+        assert (workers != {caller}) == (threads > 1)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_at_most_threads_plus_one_results_wait_to_be_added(self, data, threads):
+        # A slow add and an instant work: a driver that submitted every group
+        # at once would hold all seven results before adding the second.
+        ds, dval = data
+        lock = threading.Lock()
+        done, waiting = [], []
+
+        def work(lo, hi, norms):
+            with lock:
+                done.append(lo)
+            return lo
+
+        def add(total, part):
+            time.sleep(0.01)
+            with lock:
+                waiting.append(len(done) - len(waiting))
+
+        sum_over_validation(ds, dval, DistanceMetric.EUCLIDEAN, GROUPS, work, add, threads)
+        assert len(waiting) == len(GROUPS)
+        assert max(waiting) <= threads + 1, waiting
+
+    def test_more_workers_than_cores_under_fast_thread_switching(self):
+        # 60 one-row groups on 4 workers with a 1 us switch interval: a lost
+        # or reordered addition would show in the order-dependent bits.
+        ds = generate_gaussian_synthetic(30, 4, seed=1)
+        dval = generate_gaussian_synthetic(60, 4, seed=3)
+        groups = [(lo, lo + 1) for lo in range(dval.n)]
+        result = []
+
+        def run():
+            result.append(
+                sum_over_validation(
+                    ds, dval, DistanceMetric.EUCLIDEAN, groups,
+                    lambda lo, hi, norms: self.part(lo, hi, ds.n), iadd, 4,
+                )
+            )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=run, daemon=True)
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        expected = np.zeros(ds.n)
+        for lo, hi in groups:
+            expected += self.part(lo, hi, ds.n)
+        assert np.array_equal(result[0], expected)
 
     def test_empty_validation_set_rejected(self):
         ds = generate_gaussian_synthetic(10, 3, seed=1)
 
-        def chunk_sum(lo, hi, norms):
-            raise AssertionError("no chunk of an empty validation set")
+        def never(*args):
+            raise AssertionError("no group of an empty validation set")
 
         with pytest.raises(ParameterError, match="nonempty"):
-            sum_over_validation(ds, ds.subset([]), DistanceMetric.EUCLIDEAN, chunk_sum)
+            sum_over_validation(ds, ds.subset([]), DistanceMetric.EUCLIDEAN, [(0, 0)], never, never)
 
 
 class TestSynthetic:
