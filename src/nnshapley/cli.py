@@ -178,18 +178,18 @@ def _config_echo(args: argparse.Namespace) -> dict:
 
 
 def _parse_kv(text: str, what: str) -> dict[str, int]:
-    out: dict[str, int] = {}
-    for part in text.split(","):
-        if not part.strip():
-            continue
-        if "=" not in part:
-            raise ParameterError(f"bad {what} spec {text!r}; expected k=v pairs")
-        key, _, value = part.partition("=")
-        try:
-            out[key.strip()] = int(float(value))
-        except (ValueError, OverflowError):  # int() rejects nan and inf
-            raise ParameterError(f"bad {what} value {value!r}") from None
-    return out
+    parts = [part.partition("=") for part in text.split(",") if part.strip()]
+    if not all(sep for _, sep, _ in parts):
+        raise ParameterError(f"bad {what} spec {text!r}; expected k=v pairs")
+    return {key.strip(): _parse_count(value, what) for key, _, value in parts}
+
+
+def _parse_count(value: str, what: str) -> int:
+    """A count written as a float literal such as ``1e5``; nan and inf are usage errors."""
+    try:
+        return int(float(value))
+    except (ValueError, OverflowError):  # int() rejects nan and inf
+        raise ParameterError(f"bad {what} value {value!r}") from None
 
 
 def _load_datasets(args: argparse.Namespace) -> tuple[Dataset, Dataset]:
@@ -370,7 +370,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    ns = [int(float(x)) for x in args.ns.split(",") if x.strip()]
+    ns = [_parse_count(x, "--ns") for x in args.ns.split(",") if x.strip()]
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     rows = bench_runtime(
         ns,

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
 from nnshapley import dataset
 from nnshapley.dataset import Dataset, DistanceMetric, distances_to
+from nnshapley.dp import DpParams, dp_knn_shapley_all
+from nnshapley.knn import KnnConfig, knn_shapley_all
 
 
 def make_instance(
@@ -47,9 +51,24 @@ def rng() -> np.random.Generator:
 
 @pytest.fixture
 def no_validation_chunks(monkeypatch) -> None:
-    """Fail a test whose valuation falls back on the chunked validation driver."""
+    """Fail a test whose valuation uses the KNN scorers' N-dependent row groups.
+
+    Every module that imported ``validation_chunks`` holds its own binding, so
+    each one is patched; the fixture then checks that the KNN and DP-KNN
+    releases, which do use those groups, now fail.
+    """
+    original = dataset.validation_chunks
 
     def chunks(*args):
         raise AssertionError("validation_chunks called")
 
-    monkeypatch.setattr(dataset, "validation_chunks", chunks)
+    for name, module in list(sys.modules.items()):
+        bound = getattr(module, "validation_chunks", None)
+        if name.split(".")[0] == "nnshapley" and bound is original:
+            monkeypatch.setattr(module, "validation_chunks", chunks)
+    ds = dataset.generate_gaussian_synthetic(6, 2, seed=0)
+    cfg = KnnConfig(1)
+    with pytest.raises(AssertionError, match="validation_chunks called"):
+        knn_shapley_all(ds, cfg, ds, 2)
+    with pytest.raises(AssertionError, match="validation_chunks called"):
+        dp_knn_shapley_all(ds, KnnConfig(1, variant="old"), ds, 2, DpParams(delta=1e-4, sigma=1.0))

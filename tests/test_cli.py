@@ -402,6 +402,15 @@ class TestBenchCommand:
         assert code == 0
         assert "100,tknn" in out.read_text()
 
+    @pytest.mark.parametrize("ns", ["inf", "100,-inf", "nan", "ten"])
+    def test_bad_size_is_a_usage_error(self, tmp_path, capsys, ns):
+        out = tmp_path / "bench.csv"
+        code = run_cli(["bench", "--ns", ns, "--d", "2", "--nval", "3",
+                        "--methods", "tknn", "--repeats", "1", "--output", str(out)])
+        assert code == 2
+        assert "bad --ns value" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAccountCommand:
     def test_report(self, tmp_path):
