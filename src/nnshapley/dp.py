@@ -17,7 +17,7 @@ from operator import iadd
 
 import numpy as np
 
-from ._rng import TAG_NOISE, TAG_SUBSAMPLE, stream
+from ._rng import TAG_NOISE, TAG_SUBSAMPLE, streams
 from .dataset import Dataset, sum_over_validation, validation_chunks
 from .errors import ParameterError
 from .knn import KnnConfig, _old_sorted_batch, knn_score_matrix, knn_sorted_match
@@ -153,21 +153,22 @@ def dp_tknn_shapley_all(
     pass, one 3-draw privatization, then every owner's score by O(1)
     decrements on the shared privatized triple. Exactly 3 * |dval| Gaussian
     draws regardless of N. This is the tiled pass of the non-private release,
-    :func:`nnshapley.tknn.tknn_tiled_sum`: each row's mask comes from its own
-    keyed stream, and each row group's count triples are privatized one row
-    at a time, in validation order, before its value tables are built.
+    :func:`nnshapley.tknn.tknn_tiled_sum`: each row's mask and noise come
+    from its own keyed streams (built for a whole row group in one batch),
+    and each row group's count triples are privatized one row at a time, in
+    validation order, before its value tables are built.
     """
     sigma = params.resolve_sigma(COUNTS_SENSITIVITY)
     released: list[PrivatizedCounts] = []
 
-    def sample(v: int) -> np.ndarray:
-        return _poisson_mask(ds.n, params.q, stream(params.seed, TAG_SUBSAMPLE, v))
+    def sample(lo: int, hi: int) -> np.ndarray:
+        gens = streams(params.seed, (TAG_SUBSAMPLE,), lo, hi)
+        return np.array([_poisson_mask(ds.n, params.q, gen) for gen in gens])
 
     def release(lo: int, *counts: np.ndarray) -> np.ndarray:
-        privs = [
-            privatize_counts(NeighborCounts(*row), sigma, stream(params.seed, TAG_NOISE, v))
-            for v, row in enumerate(np.stack(counts, axis=1).tolist(), start=lo)
-        ]
+        rows = np.stack(counts, axis=1).tolist()
+        gens = streams(params.seed, (TAG_NOISE,), lo, lo + len(rows))
+        privs = [privatize_counts(NeighborCounts(*row), sigma, gen) for row, gen in zip(rows, gens)]
         released.extend(privs)
         return np.array([p.counts.as_tuple() for p in privs], dtype=np.float64).T
 
@@ -220,15 +221,15 @@ def dp_knn_shapley_all(
             np.put_along_axis(rank, order, np.arange(n)[None, :], axis=1)
             chunk = np.empty(order.shape)
             for row, v in enumerate(range(lo, hi)):
-                for i in range(n):
-                    keep = _poisson_mask(n, params.q, stream(params.seed, TAG_SUBSAMPLE, v, i))
+                for i, gen in enumerate(streams(params.seed, (TAG_SUBSAMPLE, v), 0, n)):
+                    keep = _poisson_mask(n, params.q, gen)
                     keep[i] = True  # the owner's own point is always present
                     kept = keep[order[row]]
                     sub = _old_sorted_batch(match[row, kept][None], cfg.k)[0]
                     chunk[row, i] = sub[np.count_nonzero(kept[: rank[row, i]])]
         if sigma > 0.0:
-            for v, row in enumerate(chunk, start=lo):
-                row += stream(params.seed, TAG_NOISE, v).normal(0.0, sigma, n)
+            for row, gen in zip(chunk, streams(params.seed, (TAG_NOISE,), lo, hi)):
+                row += gen.normal(0.0, sigma, n)
         return chunk.sum(axis=0)
 
     total = sum_over_validation(ds, dval, cfg.metric, validation_chunks(dval.n, n), chunk_sum, iadd)

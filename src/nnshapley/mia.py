@@ -20,8 +20,9 @@ from ._rng import (
     TAG_SCORE_OBS,
     TAG_SCORE_OUT,
     TAG_SHADOW,
-    stream,
+    streams,
     substream_seed,
+    substream_seeds,
 )
 from .dataset import Dataset, LabeledPoint
 from .errors import ParameterError
@@ -98,13 +99,16 @@ def mia_score(
         )
     ins = np.empty(cfg.shadow_count)
     outs = np.empty(cfg.shadow_count)
-    for t in range(cfg.shadow_count):
-        idx = stream(cfg.seed, TAG_SHADOW, t).choice(shadow_pool.n, size=size, replace=False)
+    worlds = zip(
+        streams(cfg.seed, (TAG_SHADOW,), 0, cfg.shadow_count),
+        substream_seeds(cfg.seed, (TAG_SCORE_IN,), 0, cfg.shadow_count),
+        substream_seeds(cfg.seed, (TAG_SCORE_OUT,), 0, cfg.shadow_count),
+    )
+    for t, (gen, seed_in, seed_out) in enumerate(worlds):
+        idx = gen.choice(shadow_pool.n, size=size, replace=False)
         shadow = shadow_pool.subset(np.sort(idx))
-        ins[t] = value_fn(
-            shadow.with_point(target), target, zval_set, substream_seed(cfg.seed, TAG_SCORE_IN, t)
-        )
-        outs[t] = value_fn(shadow, target, zval_set, substream_seed(cfg.seed, TAG_SCORE_OUT, t))
+        ins[t] = value_fn(shadow.with_point(target), target, zval_set, seed_in)
+        outs[t] = value_fn(shadow, target, zval_set, seed_out)
     phi_obs = value_fn(server_dataset, target, zval_set, substream_seed(cfg.seed, TAG_SCORE_OBS, 0))
     mu_in = float(ins.mean())
     mu_out = float(outs.mean())
@@ -148,8 +152,9 @@ def mia_lambdas(
     lams = []
     labels = []
     for group_tag, population, is_member in ((0, members, True), (1, nonmembers, False)):
-        for i in range(population.n):
-            target_cfg = replace(cfg, seed=substream_seed(cfg.seed, group_tag, i))
+        target_seeds = substream_seeds(cfg.seed, (group_tag,), 0, population.n)
+        for i, seed in enumerate(target_seeds):
+            target_cfg = replace(cfg, seed=seed)
             verdict = mia_score(
                 value_fn, population.point(i), shadow_pool, server_dataset, target_cfg, zval_set
             )

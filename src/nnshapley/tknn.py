@@ -278,20 +278,21 @@ def tknn_tiled_sum(
     dval: Dataset,
     num_classes: int,
     threads: int = 1,
-    sample: Callable[[int], np.ndarray] | None = None,
+    sample: Callable[[int, int], np.ndarray] | None = None,
     release: Callable[..., Sequence[np.ndarray]] | None = None,
 ) -> np.ndarray:
     """Sum of the TKNN score rows over the validation set, shape (N,).
 
-    ``sample(v)``, when given, is validation point v's Poisson mask of kept
-    training points (its sampled neighbourhood is the kept part of the
-    threshold set, and c is the number kept); ``release(lo, c, c_x, c_zplus)``
-    maps a row group's count triples, starting at validation index ``lo``,
-    to the triples its value tables are built from. Without them this is
-    the plain release. :func:`nnshapley.dataset.sum_over_validation` drives
-    the row groups: pass 1 is its ``work``, which may run on ``threads``
-    workers, and ``release`` with pass 2 is its ``add``, which runs in the
-    calling thread in validation order (see the module docstring).
+    ``sample(lo, hi)``, when given, stacks the Poisson masks of kept training
+    points of validation points lo to hi - 1, one (N,) row each (a row's
+    sampled neighbourhood is the kept part of its threshold set, and c is the
+    number kept); ``release(lo, c, c_x, c_zplus)`` maps a row group's count
+    triples, starting at validation index ``lo``, to the triples its value
+    tables are built from. Without them this is the plain release.
+    :func:`nnshapley.dataset.sum_over_validation` drives the row groups:
+    pass 1 is its ``work``, which may run on ``threads`` workers, and
+    ``release`` with pass 2 is its ``add``, which runs in the calling thread
+    in validation order (see the module docstring).
     """
     n = ds.n
     tiles = [(c0, min(c0 + _COLUMN_TILE, n)) for c0 in range(0, n, _COLUMN_TILE)]
@@ -302,7 +303,7 @@ def tknn_tiled_sum(
             code = np.empty((hi - lo, n), dtype=np.uint8)
             c = np.full(hi - lo, n)
         else:  # the code array holds the sample masks until the tiles overwrite them
-            keep = np.array([sample(v) for v in range(lo, hi)])
+            keep = sample(lo, hi)
             code, c = keep.view(np.uint8), keep.sum(axis=1)
         counts = np.zeros((2, hi - lo), dtype=np.int64)  # c_x - 1 and c_zplus
         for c0, c1 in tiles:

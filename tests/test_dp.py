@@ -15,7 +15,7 @@ from nnshapley.dataset import (
     generate_gaussian_synthetic,
     validation_chunks,
 )
-from nnshapley._rng import TAG_NOISE, TAG_SUBSAMPLE, stream
+from nnshapley._rng import TAG_NOISE, TAG_SUBSAMPLE, stream, streams
 from nnshapley.dp import (
     COUNTS_SENSITIVITY,
     DpParams,
@@ -391,13 +391,20 @@ class TestDpKnnBaseline:
     def test_full_rate_draws_no_subsample(self, monkeypatch):
         # At q = 1 every mask keeps every point: the subsampled form is the
         # plain release under its own name, and builds no subsample stream.
+        # Keys are counted whether they are requested one at a time or in
+        # batches over a range of the last key word.
         keys = []
 
         def counting_stream(seed, *key):
             keys.append(key)
             return stream(seed, *key)
 
-        monkeypatch.setattr(dp, "stream", counting_stream)
+        def counting_streams(seed, key, lo, hi):
+            keys.extend((*key, v) for v in range(lo, hi))
+            return streams(seed, key, lo, hi)
+
+        monkeypatch.setattr(dp, "stream", counting_stream, raising=False)
+        monkeypatch.setattr(dp, "streams", counting_streams)
         ds = generate_gaussian_synthetic(30, 3, seed=4)
         dval = generate_gaussian_synthetic(5, 3, seed=5)
         cfg = KnnConfig(3, NEGCOS, "old")

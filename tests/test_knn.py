@@ -21,6 +21,7 @@ from nnshapley.knn import (
     knn_shapley_all,
     knn_shapley_single,
 )
+from nnshapley.tknn import TknnConfig, tknn_shapley_all
 from nnshapley.valuation import (
     aggregate_over_validation,
     knn_old_utility,
@@ -165,6 +166,31 @@ class TestPermutationInvariance:
         res = knn_shapley_single(shuffled, cfg, zval, 2).scores
         # scores keyed by owner: res[i] belongs to original index perm[i]
         assert np.max(np.abs(res - base[perm])) < 1e-12
+
+    @pytest.mark.parametrize("metric", [EUCLID, NEGCOS])
+    def test_validation_order_moves_scores_only_by_rounding(self, rng, metric):
+        # A permutation reorders the sum over validation rows, so scores may
+        # move by its rounding. Distance bits may also depend on a row's place
+        # in a BLAS block; the drawn data keeps every distance clear of tau
+        # and of its row neighbours, so no flag or order can flip.
+        ds = generate_gaussian_synthetic(300, 4, seed=21)
+        dval = generate_gaussian_synthetic(70, 4, seed=22)
+        perm = rng.permutation(dval.n)
+        shuffled = dval.subset(perm)
+        norms = training_norms(metric, ds.features)
+        dist = np.sort(distance_matrix(metric, ds.features, dval.features, norms))
+        assert np.diff(dist, axis=1).min() > 1e-9
+        flat = np.sort(dist, axis=None)
+        k = flat.size // 3
+        tau = float((flat[k] + flat[k + 1]) / 2)
+        assert np.abs(dist - tau).min() > 1e-9
+        pairs = [(TknnConfig(tau, metric), tknn_shapley_all)] + [
+            (KnnConfig(4, metric, variant), knn_shapley_all) for variant in ("refined", "old")
+        ]
+        for cfg, value_all in pairs:
+            base = value_all(ds, cfg, dval, 2).scores
+            moved = value_all(ds, cfg, shuffled, 2).scores
+            assert np.allclose(moved, base, rtol=0, atol=1e-12)
 
 
 def tied_instance(rng, n_base=40, copies=(2, 3, 5), d=3, c=3):

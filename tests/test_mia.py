@@ -1,6 +1,14 @@
 import numpy as np
 import pytest
 
+from nnshapley._rng import (
+    TAG_SCORE_IN,
+    TAG_SCORE_OBS,
+    TAG_SCORE_OUT,
+    TAG_SHADOW,
+    stream,
+    substream_seed,
+)
 from nnshapley.dataset import DistanceMetric, generate_gaussian_synthetic
 from nnshapley.dp import DpParams
 from nnshapley.errors import ParameterError
@@ -9,6 +17,7 @@ from nnshapley.mia import (
     MiaConfig,
     likelihood_ratio,
     mia_auroc,
+    mia_lambdas,
     mia_score,
     value_scorer,
 )
@@ -61,6 +70,51 @@ class TestMiaScore:
         a = mia_score(scorer, members.point(0), shadow, members, cfg, zvals)
         b = mia_score(scorer, members.point(0), shadow, members, cfg, zvals)
         assert a == b
+
+    def test_world_keys(self):
+        # Each world's context rows and seed come from the per-key streams,
+        # in call order: IN then OUT for every shadow t, then the observation.
+        members, _, shadow, zvals = split_pool(10)
+        target = members.point(2)
+        cfg = MiaConfig(shadow_count=5, shadow_size=12, seed=2**33 + 7)
+        calls = []
+
+        def recording(context, tgt, zv, seed):
+            calls.append((context.features.copy(), context.labels.copy(), seed))
+            return float(len(calls))
+
+        mia_score(recording, target, shadow, members, cfg, zvals)
+        expected = []
+        for t in range(cfg.shadow_count):
+            idx = stream(cfg.seed, TAG_SHADOW, t).choice(shadow.n, size=12, replace=False)
+            world = shadow.subset(np.sort(idx))
+            expected.append((world.with_point(target), substream_seed(cfg.seed, TAG_SCORE_IN, t)))
+            expected.append((world, substream_seed(cfg.seed, TAG_SCORE_OUT, t)))
+        expected.append((members, substream_seed(cfg.seed, TAG_SCORE_OBS, 0)))
+        assert len(calls) == len(expected)
+        for (features, labels, seed), (world, want_seed) in zip(calls, expected):
+            assert features.tobytes() == world.features.tobytes()
+            assert np.array_equal(labels, world.labels)
+            assert seed == want_seed
+
+    def test_target_keys(self):
+        # Target i of group g (0 members, 1 nonmembers) runs on the seed
+        # substream_seed(seed, g, i); its observation seed derives from that.
+        members, nonmembers, shadow, zvals = split_pool(11, n_targets=3)
+        cfg = MiaConfig(shadow_count=2, shadow_size=6, seed=5)
+        obs_seeds = []
+
+        def recording(context, tgt, zv, seed):
+            if context is members:
+                obs_seeds.append(seed)
+            return 0.0
+
+        mia_lambdas(recording, members, nonmembers, shadow, members, cfg, zvals)
+        assert obs_seeds == [
+            substream_seed(substream_seed(cfg.seed, g, i), TAG_SCORE_OBS, 0)
+            for g in (0, 1)
+            for i in range(3)
+        ]
 
     def test_verdict_fields_populated(self):
         members, _, shadow, zvals = split_pool(4)
