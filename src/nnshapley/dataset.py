@@ -15,8 +15,9 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from pathlib import Path
-from typing import Any, Callable, Iterable, NoReturn, Sequence
+from typing import Any, Callable, Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -186,6 +187,24 @@ def distances_to(metric: DistanceMetric, features: np.ndarray, x: np.ndarray) ->
 _EUCLIDEAN_CHUNK_ELEMS = 1 << 24  # bounds the (v, N, d) difference tensor
 
 
+_NORM_BLOCK_ELEMS = 1 << 17  # bounds the squared-features temporary of a row-norm block
+
+
+def row_norms(features: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(features, axis=1)``, computed over blocks of rows.
+
+    Each row's norm is the sum over that row alone, so it has the same bits
+    in any block; the blocks bound the squared-features temporary, which the
+    one-shot call allocates at the size of the whole matrix.
+    """
+    step = max(1, _NORM_BLOCK_ELEMS // max(features.shape[1], 1))
+    out = np.empty(features.shape[0])
+    with np.errstate(over="ignore"):  # callers reject an overflowed norm
+        for lo in range(0, features.shape[0], step):
+            out[lo : lo + step] = np.linalg.norm(features[lo : lo + step], axis=1)
+    return out
+
+
 def training_norms(metric: DistanceMetric, features: np.ndarray) -> np.ndarray | None:
     """The per-row norms :func:`distance_matrix` needs, or None for Euclidean.
 
@@ -193,8 +212,7 @@ def training_norms(metric: DistanceMetric, features: np.ndarray) -> np.ndarray |
     computes these once and passes them to every chunk.
     """
     if metric is DistanceMetric.NEGATIVE_COSINE:
-        with np.errstate(over="ignore"):  # distance_matrix rejects an overflowed norm
-            return np.linalg.norm(features, axis=1)
+        return row_norms(features)
     return None
 
 
@@ -239,15 +257,46 @@ def distance_matrix(
     return out
 
 
-_SCORE_CHUNK_ELEMS = 1 << 22  # bounds per-chunk (v, N) work arrays
+_SCORE_CHUNK_ELEMS = 1 << 20  # bounds per-group (v, N) work arrays
 _SCORE_CHUNK_MAX_ROWS = 512
 
 
 def validation_chunks(n_val: int, n_train: int) -> list[tuple[int, int]]:
     """Row groups of the KNN scorers, whose sort needs whole rows, so a group's
-    height is set by N; the TKNN releases use fixed groups of ``_ROW_GROUP``."""
+    height is set by N: ``_SCORE_CHUNK_ELEMS // N`` rows, at least one and at
+    most ``_SCORE_CHUNK_MAX_ROWS``. Each group's (rows, N) work arrays then
+    hold at most ``_SCORE_CHUNK_ELEMS`` entries (one row beyond that N),
+    whatever V. The height decides only how the work is cut:
+    :func:`add_rows` adds the rows in validation order, so scores do not
+    depend on it. The TKNN releases use fixed groups of ``_ROW_GROUP``."""
     rows = max(1, min(_SCORE_CHUNK_MAX_ROWS, _SCORE_CHUNK_ELEMS // max(n_train, 1)))
     return [(lo, min(lo + rows, n_val)) for lo in range(0, n_val, rows)]
+
+
+def row_ordered_sum(rows: np.ndarray, out: np.ndarray) -> None:
+    """``out = ((rows[0] + rows[1]) + rows[2]) + ...``, column by column.
+
+    numpy reduces axis 0 of a C-ordered matrix one row after the other, but a
+    single column is one contiguous run that it would sum pairwise.
+    """
+    if rows.shape[1] == 1:
+        out[:] = np.add.accumulate(rows, axis=0)[-1]
+    else:
+        np.add.reduce(rows, axis=0, out=out)
+
+
+def add_rows(total: np.ndarray, rows: np.ndarray) -> None:
+    """Add a C-ordered (R, n) matrix of score rows to the (n,) ``total`` in place.
+
+    Every column becomes ``((total + rows[0]) + rows[1]) + ...``, the rows in
+    order. The total is folded into ``rows[0]``, which is overwritten (IEEE
+    addition commutes, so that is ``total + rows[0]`` bit for bit), and the
+    rows are then summed by :func:`row_ordered_sum`. A total that starts at
+    +0.0 never becomes -0.0, so whether numpy's reduction starts from its
+    identity or from the first row cannot show either.
+    """
+    rows[0] += total
+    row_ordered_sum(rows, total)
 
 
 def sum_over_validation(
@@ -256,7 +305,7 @@ def sum_over_validation(
     metric: DistanceMetric,
     groups: Sequence[tuple[int, int]],
     work: Callable[[int, int, np.ndarray | None], Any],
-    add: Callable[[np.ndarray, Any], object],
+    add: Callable[[np.ndarray, Any], object] = add_rows,
     threads: int = 1,
 ) -> np.ndarray:
     """Sum of the per-point score vectors over the validation set, shape (N,).
@@ -266,11 +315,14 @@ def sum_over_validation(
     ``work(lo, hi, norms)`` for each row group ``(lo, hi)`` of ``groups``, on
     up to ``threads`` workers and never more than ``threads + 1`` results
     ahead of the running total. ``add(total, part)`` folds one group's result
-    into the (N,) total in place (``operator.iadd`` adds a group's summed
-    rows); it runs in the calling thread, one group at a time in validation
-    order. So ``work`` may run in any order and on any thread, while what
-    ``add`` does (adding rows, privatizing counts) happens as in a
-    single-threaded loop, and the result is bit-identical at any ``threads``.
+    into the (N,) total, which starts at +0.0, in place. By default ``part``
+    is the group's (hi - lo, N) score matrix and :func:`add_rows` adds its
+    rows one after the other, so every column of the result is
+    ((0 + s_0) + s_1) + ... in validation order, whatever the groups. ``add``
+    runs in the calling thread, one group at a time in validation order. So
+    ``work`` may run in any order and on any thread, while what ``add`` does
+    (adding rows, privatizing counts) happens as in a single-threaded loop,
+    and the result is bit-identical at any ``threads``.
     """
     if dval.n == 0:
         raise ParameterError("validation set must be nonempty")
@@ -315,37 +367,74 @@ def load_csv(
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
-    # read_text turns \r\n and \r into \n: the row ends csv.reader recognizes.
-    # str.splitlines would also split at \x0c, \x1c-\x1e, \x85 and \u2028.
-    lines = [
-        line for line in path.read_text(encoding="utf-8").split("\n") if not _is_blank_row(line)
-    ]
-    if not lines:
+    try:
+        with path.open(encoding="utf-8") as fh:
+            return _load_rows(path, _data_lines(fh), label_column, l2_normalize, num_classes)
+    except UnicodeDecodeError:
+        # The file is decoded in pieces; decoding it whole raises the same
+        # error with its byte position in the file.
+        path.read_text(encoding="utf-8")
+        raise
+
+
+def _data_lines(fh: Iterable[str]) -> Iterator[str]:
+    """The lines of a text file that csv.reader reads as rows, line ends removed.
+
+    Text mode turns \\r\\n and \\r into \\n, the row end csv.reader
+    recognizes, and a file iterates over lines split at \\n only
+    (str.splitlines would also split at \\x0c, \\x1c-\\x1e, \\x85 and \\u2028).
+    Blank lines and rows whose cells are all whitespace are left out.
+    """
+    for line in fh:
+        line = line.removesuffix("\n")
+        if not _is_blank_row(line):
+            yield line
+
+
+def _load_rows(
+    path: Path,
+    lines: Iterator[str],
+    label_column: int | str,
+    l2_normalize: bool,
+    num_classes: int | None,
+) -> Dataset:
+    """:func:`load_csv` on the file's data lines, read once, one at a time."""
+    first = next(lines, None)
+    if first is None:
         raise DataError(f"empty file: {path}")
 
     header: list[str] | None = None
-    first = _csv_row(lines[0])
-    if any(not _is_number(cell) for cell in first):
-        header = [cell.strip() for cell in first]
-        lines = lines[1:]
-        if not lines:
+    cells = _csv_row(first)
+    if any(not _is_number(cell) for cell in cells):
+        header = [cell.strip() for cell in cells]
+        first = next(lines, None)
+        if first is None:
             raise DataError(f"file has a header but no data rows: {path}")
+
+    count = 0
+
+    def counted() -> Iterator[str]:
+        nonlocal count
+        for line in chain([first], lines):
+            count += 1
+            yield line
 
     # comments=None: loadtxt would otherwise drop everything after a '#'.
     try:
         table = np.loadtxt(
-            lines, delimiter=",", quotechar='"', comments=None, dtype=np.float64, ndmin=2
+            counted(), delimiter=",", quotechar='"', comments=None, dtype=np.float64, ndmin=2
         )
     except ValueError as exc:
-        _raise_first_bad_row(lines, label_column, header, str(exc))
-    if table.shape[0] != len(lines):
-        _raise_first_bad_row(lines, label_column, header, "a quoted cell spans more than one line")
+        _raise_first_bad_row(path, label_column, header, str(exc))
+    if table.shape[0] != count:
+        _raise_first_bad_row(path, label_column, header, "a quoted cell spans more than one line")
     label_idx = _label_index(label_column, header, table.shape[1])
-    raw_labels = table[:, label_idx]
+    raw_labels = table[:, label_idx].copy()
     if not np.all(np.isfinite(raw_labels) & (raw_labels == np.floor(raw_labels))):
-        _raise_first_bad_row(lines, label_column, header, "a label is not an integer")
+        _raise_first_bad_row(path, label_column, header, "a label is not an integer")
 
     feats = np.delete(table, label_idx, axis=1)
+    del table  # features and labels are copies, so the table is freed here
     finite = np.isfinite(feats).all(axis=1)
     if not finite.all():
         bad = int(np.flatnonzero(~finite)[0]) + 1
@@ -356,8 +445,7 @@ def load_csv(
         raise DataError("labels must be below 2**63")
     lab = raw_labels.astype(np.int64)
     if l2_normalize:
-        with np.errstate(over="ignore"):
-            norms = np.linalg.norm(feats, axis=1)
+        norms = row_norms(feats)
         if np.any(norms == 0.0):
             bad = int(np.flatnonzero(norms == 0.0)[0]) + 1
             raise DataError(f"row {bad}: cannot L2-normalize a zero feature vector")
@@ -373,7 +461,7 @@ def load_csv(
                 f"the largest label, {c - 1}, makes {c} classes, {empty} of them with no point "
                 f"in {path.name}; pass num_classes (--num-classes) if that is not intended",
                 DataWarning,
-                stacklevel=2,
+                stacklevel=3,  # the caller of load_csv
             )
     else:
         c = int(num_classes)
@@ -404,14 +492,18 @@ def _label_index(label_column: int | str, header: list[str] | None, arity: int) 
 
 
 def _raise_first_bad_row(
-    lines: list[str], label_column: int | str, header: list[str] | None, fallback: str
+    path: Path, label_column: int | str, header: list[str] | None, fallback: str
 ) -> NoReturn:
     """Name the first malformed data row, checked as ragged, then label, then feature.
 
     Runs only after the table parse has failed or found a non-integer label,
-    and always raises: ``fallback`` when no row breaks these checks.
+    and always raises: ``fallback`` when no row breaks these checks. It reads
+    the file again, whole, so a decoding error anywhere in it comes first.
     """
-    rows = [_csv_row(line) for line in lines]
+    with path.open(encoding="utf-8") as fh:
+        rows = [_csv_row(line) for line in _data_lines(fh)]
+    if header is not None:
+        rows = rows[1:]
     arity = len(rows[0])
     label_idx = _label_index(label_column, header, arity)
     for lineno, row in enumerate(rows, start=1):

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from operator import iadd
 
 import numpy as np
 
@@ -211,7 +210,7 @@ def dp_knn_shapley_all(
     sigma = params.resolve_sigma(sensitivity)
     n = ds.n
 
-    def chunk_sum(lo: int, hi: int, norms: np.ndarray | None) -> np.ndarray:
+    def scores(lo: int, hi: int, norms: np.ndarray | None) -> np.ndarray:
         features, labels = dval.features[lo:hi], dval.labels[lo:hi]
         if params.q == 1.0:  # unsubsampled, or every mask would keep every point
             chunk = knn_score_matrix(ds, cfg, features, labels, num_classes, norms)
@@ -230,9 +229,9 @@ def dp_knn_shapley_all(
         if sigma > 0.0:
             for row, gen in zip(chunk, streams(params.seed, (TAG_NOISE,), lo, hi)):
                 row += gen.normal(0.0, sigma, n)
-        return chunk.sum(axis=0)
+        return chunk
 
-    total = sum_over_validation(ds, dval, cfg.metric, validation_chunks(dval.n, n), chunk_sum, iadd)
+    total = sum_over_validation(ds, dval, cfg.metric, validation_chunks(dval.n, n), scores)
     descriptor = MethodDescriptor(
         name="dp-knn-shapley-old" + ("-subsampled" if subsampled else ""),
         num_classes=num_classes,

@@ -9,15 +9,21 @@ batches that share one distance matrix.
 Ties: training points at equal distance from a validation point are ordered
 by training index, as a stable sort would order them and as the enumeration
 oracle does. The order is the same whatever the validation chunking or
-thread count. The chunk sums are added in validation order, so scores do not
-depend on the thread count; the chunk height, which N sets, decides which
-rows are added together first, and with it the last bits of a score.
+thread count.
+
+The sort needs whole rows, so validation points are scored in row groups
+whose height N sets (:func:`nnshapley.dataset.validation_chunks`); a group's
+(rows, N) work arrays stay within a fixed budget, independent of V. Each
+group's score matrix goes to :func:`nnshapley.dataset.sum_over_validation`,
+which adds its rows to the total one after the other
+(:func:`nnshapley.dataset.add_rows`): every score is ((0 + s_0) + s_1) + ...
+in validation order, so scores depend neither on the group height nor on
+the thread count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import iadd
 
 import numpy as np
 
@@ -206,11 +212,11 @@ def knn_shapley_all(
 ) -> ValuationResult:
     """Exact KNN-Shapley summed over a validation set (linearity)."""
 
-    def chunk_sum(lo: int, hi: int, norms: np.ndarray | None) -> np.ndarray:
+    def scores(lo: int, hi: int, norms: np.ndarray | None) -> np.ndarray:
         return knn_score_matrix(
             ds, cfg, dval.features[lo:hi], dval.labels[lo:hi], num_classes, norms
-        ).sum(axis=0)
+        )
 
     chunks = validation_chunks(dval.n, ds.n)
-    total = sum_over_validation(ds, dval, cfg.metric, chunks, chunk_sum, iadd, threads)
+    total = sum_over_validation(ds, dval, cfg.metric, chunks, scores, threads=threads)
     return ValuationResult(total, _descriptor(cfg, num_classes), validation_size=dval.n)

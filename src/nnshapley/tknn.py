@@ -58,6 +58,7 @@ from .dataset import (
     LabeledPoint,
     distance_matrix,
     distances_to,
+    row_ordered_sum,
     sum_over_validation,
 )
 from .errors import EnumerationLimitError, ParameterError
@@ -260,18 +261,6 @@ _ROW_GROUP = 32  # validation rows per group of the tiled pass
 _COLUMN_TILE = 4096  # training columns per tile: an (R, C) float64 array is 1 MiB
 
 
-def _row_ordered_sum(rows: np.ndarray, out: np.ndarray) -> None:
-    """``out = ((rows[0] + rows[1]) + rows[2]) + ...``, column by column.
-
-    numpy reduces axis 0 of a C-ordered matrix one row after the other, but a
-    single column is one contiguous run that it would sum pairwise.
-    """
-    if rows.shape[1] == 1:
-        out[:] = np.add.accumulate(rows, axis=0)[-1]
-    else:
-        np.add.reduce(rows, axis=0, out=out)
-
-
 def tknn_tiled_sum(
     ds: Dataset,
     cfg: TknnConfig,
@@ -323,10 +312,10 @@ def tknn_tiled_sum(
             triples = release(lo, *triples)
         table = tknn_value_table(*triples, num_classes)
         for c0, c1 in tiles:
-            rows = np.empty((len(code) + 1, c1 - c0))
+            rows = np.empty((len(code) + 1, c1 - c0))  # row 0 is the running total
             rows[0] = total[c0:c1]
             tknn_gather(table, code[:, c0:c1], out=rows[1:])
-            _row_ordered_sum(rows, total[c0:c1])
+            row_ordered_sum(rows, total[c0:c1])
 
     groups = [(lo, min(lo + _ROW_GROUP, dval.n)) for lo in range(0, dval.n, _ROW_GROUP)]
     return sum_over_validation(ds, dval, cfg.metric, groups, count, accumulate, threads)

@@ -44,6 +44,13 @@ def pick_tau(rng: np.random.Generator, ds: Dataset, zval, metric: DistanceMetric
     return float(tau)
 
 
+def set_chunk_rows(monkeypatch, ds: Dataset, rows: int | None) -> None:
+    """Row groups of ``rows`` rows for the KNN scorers; None gives one group
+    for up to ``_SCORE_CHUNK_MAX_ROWS`` validation rows."""
+    budget = 1 << 40 if rows is None else rows * ds.n
+    monkeypatch.setattr(dataset, "_SCORE_CHUNK_ELEMS", budget)
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240801)

@@ -1,7 +1,7 @@
 import csv
 import threading
 import time
-from operator import iadd
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from nnshapley.dataset import (
     DistanceMetric,
     LabeledPoint,
     add_feature_noise,
+    add_rows,
     distance,
     distance_matrix,
     distances_to,
@@ -191,6 +192,23 @@ class TestLoadCsv:
         expected = np.array([[float(cell) for cell in row] for row in rows])
         assert load_csv(write(tmp_path, "a.csv", text)).features.tobytes() == expected.tobytes()
 
+    def test_rows_are_parsed_as_the_file_is_read(self, tmp_path):
+        # Neither the file's text nor a list of its lines is held: the peak is
+        # the table, its feature copy and the dataset's own copy, about 2.3x
+        # the table's bytes. Text plus lines take about 5x more here.
+        rng = np.random.default_rng(3)
+        table = np.column_stack([rng.standard_normal((100_000, 10)), rng.integers(0, 2, 100_000)])
+        path = tmp_path / "a.csv"
+        np.savetxt(path, table, delimiter=",", fmt="%.6f")
+        tracemalloc.start()
+        try:
+            ds = load_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ds.n == table.shape[0]
+        assert peak < 3 * table.nbytes, f"peak {peak / 1e6:.1f} MB"
+
 
 class TestDistance:
     def test_euclidean_identity(self):
@@ -243,6 +261,18 @@ class TestDistance:
                 row = distances_to(metric, feats, vals[i])
                 assert np.allclose(mat[i], row, atol=1e-12)
 
+    def test_row_norms_in_blocks_equal_the_one_shot_norm(self, rng, monkeypatch):
+        shapes = [(1, 1), (5, 1), (37, 3), (200, 10), (33, 40)]
+        for block in (1, 7, 64, 1 << 17):
+            monkeypatch.setattr(dataset_module, "_NORM_BLOCK_ELEMS", block)
+            for n, d in shapes:
+                # Row scales up to 1e160, so some squares overflow to inf.
+                feats = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-150, 160, (n, 1))
+                with np.errstate(over="ignore"):
+                    expected = np.linalg.norm(feats, axis=1)
+                norms = training_norms(DistanceMetric.NEGATIVE_COSINE, feats)
+                assert norms.tobytes() == expected.tobytes(), (block, n, d)
+
     def test_duplicate_rows_get_identical_distances(self, rng):
         feats = rng.standard_normal((10, 4))
         feats[7] = feats[3]  # exact duplicate
@@ -261,7 +291,7 @@ class TestSumOverValidation:
     def part(lo, hi, n):
         # Magnitudes over 16 decades, so the sum depends on the order of terms.
         rng = np.random.default_rng(lo * 1000 + hi)
-        return rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
+        return rng.standard_normal((hi - lo, n)) * 10.0 ** rng.integers(-8, 8, (hi - lo, n))
 
     @pytest.fixture
     def data(self):
@@ -293,18 +323,36 @@ class TestSumOverValidation:
             seen.append((lo, hi))
             return self.part(lo, hi, ds.n)
 
-        total = sum_over_validation(
-            ds, dval, DistanceMetric.NEGATIVE_COSINE, groups, work, iadd, threads
-        )
+        metric = DistanceMetric.NEGATIVE_COSINE
+        total = sum_over_validation(ds, dval, metric, groups, work, threads=threads)
+        rows = np.concatenate([self.part(lo, hi, ds.n) for lo, hi in groups])
         expected, backwards = np.zeros(ds.n), np.zeros(ds.n)
-        for lo, hi in groups:
-            expected += self.part(lo, hi, ds.n)
-        for lo, hi in groups[::-1]:
-            backwards += self.part(lo, hi, ds.n)
+        for row in rows:
+            expected += row
+        for row in rows[::-1]:
+            backwards += row
         assert not np.array_equal(expected, backwards)  # the order shows in the bits
         assert np.array_equal(total, expected)
         assert sorted(seen) == groups
         assert len(norm_calls) == 1
+
+    @pytest.mark.parametrize(
+        "rows, cols", [(1, 1), (9, 1), (40, 1), (1, 5), (3, 2), (20, 7), (65, 4096), (11, 1000)]
+    )
+    def test_add_rows_adds_one_row_after_the_other(self, rows, cols):
+        # A single column of more than 8 rows is where numpy's reduction
+        # would sum pairwise; -0.0 entries would show a reduction that starts
+        # from its identity instead of from the total.
+        rng = np.random.default_rng(rows * 7919 + cols)
+        matrix = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-8, 8, (rows, cols))
+        matrix[rng.random((rows, cols)) < 0.1] = -0.0
+        total = rng.standard_normal(cols) * 10.0 ** rng.integers(-8, 8, cols)
+        total[rng.random(cols) < 0.1] = 0.0
+        expected = total.copy()
+        for row in matrix:
+            expected += row
+        add_rows(total, matrix.copy())
+        assert total.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_add_runs_on_the_calling_thread_in_group_order(self, data, threads):

@@ -32,7 +32,7 @@ from nnshapley.dp import (
 from nnshapley.errors import ParameterError
 from nnshapley.knn import KnnConfig, knn_shapley_all, knn_shapley_scores
 from nnshapley.tknn import NeighborCounts, TknnConfig, counts_full, tknn_shapley_all
-from tests.conftest import make_instance, pick_tau
+from tests.conftest import make_instance, pick_tau, set_chunk_rows
 
 EUCLID = DistanceMetric.EUCLIDEAN
 NEGCOS = DistanceMetric.NEGATIVE_COSINE
@@ -376,7 +376,26 @@ class TestDpKnnBaseline:
         params = DpParams(delta=1e-4, sigma=0.05, q=0.5, seed=3)
         res = dp_knn_shapley_all(ds, cfg, dval, 2, params, subsampled=True)
         ref = _per_owner_subsampled_reference(ds, cfg, dval, 2, params)
-        assert np.allclose(res.scores, ref, rtol=0.0, atol=1e-12)
+        assert res.scores.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize(
+        "subsampled, q", [(False, 1.0), (True, 1.0), (True, 0.5)], ids=["plain", "q1", "q0.5"]
+    )
+    @pytest.mark.parametrize("metric", [EUCLID, NEGCOS])
+    def test_scores_do_not_depend_on_chunk_height(self, monkeypatch, metric, subsampled, q):
+        # Noised score rows are added in validation order whatever the row
+        # groups: one-row groups, ragged groups (11 = 3 * 3 + 2 = 7 + 4) or one.
+        ds = generate_gaussian_synthetic(40, 3, seed=11)
+        ds = ds.subset(np.r_[np.arange(40), 2, 9, 9])  # exact duplicates among the ranks
+        dval = generate_gaussian_synthetic(11, 3, seed=12)
+        cfg = KnnConfig(3, metric, "old")
+        params = DpParams(delta=1e-4, sigma=0.05, q=q, seed=13)
+        scores = []
+        for rows in (1, 3, 7, None):
+            set_chunk_rows(monkeypatch, ds, rows)
+            res = dp_knn_shapley_all(ds, cfg, dval, 2, params, subsampled=subsampled)
+            scores.append(res.scores.tobytes())
+        assert scores == scores[:1] * 4
 
     def test_subsampled_at_full_rate_and_zero_noise_is_the_plain_release(self):
         ds = generate_gaussian_synthetic(30, 3, seed=4)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -29,7 +31,7 @@ from nnshapley.valuation import (
     shapley_oracle,
     utility,
 )
-from tests.conftest import make_instance
+from tests.conftest import make_instance, set_chunk_rows
 
 EUCLID = DistanceMetric.EUCLIDEAN
 NEGCOS = DistanceMetric.NEGATIVE_COSINE
@@ -210,7 +212,8 @@ def tied_instance(rng, n_base=40, copies=(2, 3, 5), d=3, c=3):
 
 
 def stable_reference(ds, cfg, dval, c):
-    """knn_shapley_all rebuilt on the stable sort, chunk by chunk, row by row."""
+    """knn_shapley_all rebuilt on the stable sort: distances chunk by chunk,
+    each row's scores added to the total in validation order."""
     norms = training_norms(cfg.metric, ds.features)
     total = np.zeros(ds.n)
     for lo, hi in validation_chunks(dval.n, ds.n):
@@ -221,10 +224,8 @@ def stable_reference(ds, cfg, dval, c):
             sorted_scores = _refined_sorted_batch(match, cfg.k, c)
         else:
             sorted_scores = _old_sorted_batch(match, cfg.k)
-        part = np.zeros(ds.n)
         for row in range(hi - lo):
-            part[order[row]] += sorted_scores[row]
-        total += part
+            total[order[row]] += sorted_scores[row]  # order[row] is a permutation
     return total
 
 
@@ -287,3 +288,46 @@ class TestInvariance:
             for v in range(dval.n):
                 row = knn_score_matrix(ds, cfg, dval.features[v : v + 1], dval.labels[v : v + 1], 3)
                 assert row[0].tobytes() == chunk[v].tobytes()
+
+
+# One-row groups, ragged groups (18 = 6 * 3 = 2 * 7 + 4) and one group.
+CHUNK_ROWS = [1, 3, 7, None]
+
+
+class TestChunkInvariance:
+    @pytest.mark.parametrize("metric", [EUCLID, NEGCOS])
+    @pytest.mark.parametrize("variant", ["refined", "old"])
+    def test_scores_do_not_depend_on_chunk_height_or_threads(
+        self, rng, monkeypatch, metric, variant
+    ):
+        # Every column is ((0 + s_0) + s_1) + ... in validation order. Chunk
+        # sums added to the total would show in the bits from 3-row groups on.
+        ds, dval = tied_instance(rng)
+        cfg = KnnConfig(3, metric, variant)
+        reference = None
+        for rows in CHUNK_ROWS:
+            set_chunk_rows(monkeypatch, ds, rows)
+            expected = stable_reference(ds, cfg, dval, 3)
+            reference = expected if reference is None else reference
+            assert expected.tobytes() == reference.tobytes(), rows
+            for threads in (1, 2, 3):
+                got = knn_shapley_all(ds, cfg, dval, 3, threads=threads).scores
+                assert got.tobytes() == expected.tobytes(), (rows, threads)
+
+
+def test_peak_memory_does_not_grow_with_the_validation_set():
+    # One V x N float64 matrix at N = 2e5, V = 64 is 102.4 MB. A row group
+    # has _SCORE_CHUNK_ELEMS // N = 5 rows, and its kernel holds a few (5, N)
+    # 8-byte arrays at once (8 MB each), whatever V; the total and the
+    # training norms are (N,) vectors. Half the matrix bounds that with room
+    # to spare; groups of 20 rows (a 2**22 budget) do not fit.
+    ds = generate_gaussian_synthetic(200_000, 10, seed=1)
+    dval = generate_gaussian_synthetic(64, 10, seed=2)
+    matrix_bytes = dval.n * ds.n * 8
+    tracemalloc.start()
+    try:
+        knn_shapley_all(ds, KnnConfig(5, NEGCOS), dval, 2, threads=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < matrix_bytes / 2, f"peak {peak / 1e6:.1f} MB"

@@ -266,8 +266,8 @@ def test_peak_memory_stays_far_below_one_score_matrix(large_instance, private):
     # One V x N float64 matrix at N = 2e5, V = 64 is 102.4 MB. The tiled pass
     # holds a 32 x N uint8 flag code (6.4 MB), a few (N,) float64 vectors
     # (1.6 MB each), (32, 4096) tile temporaries (1 MiB each) and, for q < 1,
-    # one row's Poisson draws (1.6 MB); computing the training norms briefly
-    # holds an N x d float64 square (16 MB). A quarter of the matrix bounds all
+    # one row's Poisson draws (1.6 MB); the training norms are computed over
+    # blocks of rows, with 1 MiB temporaries. A quarter of the matrix bounds all
     # of that with room to spare; a pass holding (V, N) float64 work arrays
     # for more than a quarter of the validation rows at once does not fit.
     ds, dval = large_instance
