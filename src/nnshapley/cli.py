@@ -51,6 +51,8 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "baseline", None) is not None:
         args.method = args.baseline
     try:
+        if args.seed < 0:  # every subcommand takes --seed; numpy seeds are nonnegative
+            raise ParameterError(f"--seed must be nonnegative; got {args.seed}")
         return args.handler(args)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)

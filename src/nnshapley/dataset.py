@@ -176,18 +176,16 @@ def distance(metric: DistanceMetric, a: np.ndarray, b: np.ndarray) -> float:
 
 def distances_to(metric: DistanceMetric, features: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Vector of distances from every row of ``features`` to the point ``x``."""
-    x = np.asarray(x, dtype=np.float64)
-    if features.shape[0] == 0:
-        return np.zeros(0)
-    if features.shape[1] != x.shape[0]:
-        raise ParameterError("distance requires vectors of equal dimension")
-    return distance_matrix(metric, features, x[None, :])[0]
-
-
-_EUCLIDEAN_CHUNK_ELEMS = 1 << 24  # bounds the (v, N, d) difference tensor
+    return distance_matrix(metric, features, np.asarray(x, dtype=np.float64)[None, :])[0]
 
 
 _NORM_BLOCK_ELEMS = 1 << 17  # bounds the squared-features temporary of a row-norm block
+
+
+# The one budget of a row group's float temporaries, in entries: it sets the
+# height of the KNN scorers' row groups (see validation_chunks) and, within
+# any distance_matrix call, of the Euclidean (v, N, d) difference tensor.
+_SCORE_CHUNK_ELEMS = 1 << 20
 
 
 def row_norms(features: np.ndarray) -> np.ndarray:
@@ -245,19 +243,20 @@ def distance_matrix(
         if not np.isfinite(bound):
             raise DataError("negative-cosine distance overflows; L2-normalize the features")
         return -(val_features @ features.T) / (vnorms[:, None] * norms[None, :])
-    # Euclidean by direct differences, chunked to bound the (v, N, d) tensor;
-    # exact duplicates subtract to exactly zero, unlike the norm-expansion trick.
+    # Euclidean by direct differences, in chunks of rows whose (v, N, d)
+    # tensor holds at most _SCORE_CHUNK_ELEMS entries (one row at a time once
+    # N * d exceeds it). Exact duplicates subtract to exactly zero, unlike the
+    # norm-expansion trick, and each entry sums over its own pair alone, so
+    # the chunk height changes no bit.
     d = features.shape[1]
     out = np.empty((v, n))
-    step = max(1, _EUCLIDEAN_CHUNK_ELEMS // max(n * d, 1))
+    step = max(1, _SCORE_CHUNK_ELEMS // max(n * d, 1))
     for lo in range(0, v, step):
-        hi = min(lo + step, v)
-        diff = val_features[lo:hi, None, :] - features[None, :, :]
-        out[lo:hi] = np.sqrt(np.einsum("vnd,vnd->vn", diff, diff))
+        diff = val_features[lo : lo + step, None, :] - features[None, :, :]
+        out[lo : lo + step] = np.sqrt(np.einsum("vnd,vnd->vn", diff, diff))
     return out
 
 
-_SCORE_CHUNK_ELEMS = 1 << 20  # bounds per-group (v, N) work arrays
 _SCORE_CHUNK_MAX_ROWS = 512
 
 
@@ -273,30 +272,25 @@ def validation_chunks(n_val: int, n_train: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + rows, n_val)) for lo in range(0, n_val, rows)]
 
 
-def row_ordered_sum(rows: np.ndarray, out: np.ndarray) -> None:
-    """``out = ((rows[0] + rows[1]) + rows[2]) + ...``, column by column.
-
-    numpy reduces axis 0 of a C-ordered matrix one row after the other, but a
-    single column is one contiguous run that it would sum pairwise.
-    """
-    if rows.shape[1] == 1:
-        out[:] = np.add.accumulate(rows, axis=0)[-1]
-    else:
-        np.add.reduce(rows, axis=0, out=out)
-
-
 def add_rows(total: np.ndarray, rows: np.ndarray) -> None:
     """Add a C-ordered (R, n) matrix of score rows to the (n,) ``total`` in place.
 
-    Every column becomes ``((total + rows[0]) + rows[1]) + ...``, the rows in
-    order. The total is folded into ``rows[0]``, which is overwritten (IEEE
-    addition commutes, so that is ``total + rows[0]`` bit for bit), and the
-    rows are then summed by :func:`row_ordered_sum`. A total that starts at
-    +0.0 never becomes -0.0, so whether numpy's reduction starts from its
-    identity or from the first row cannot show either.
+    The one place where score rows are added to a total, such as a view of
+    one column tile of it: every column becomes
+    ``((total + rows[0]) + rows[1]) + ...``, the rows in order. The total is
+    folded into ``rows[0]``, which is overwritten (IEEE addition commutes, so
+    that is ``total + rows[0]`` bit for bit). numpy then reduces axis 0 of the
+    C-ordered matrix one row after the other; a single column is one
+    contiguous run, which it would sum pairwise, so that case accumulates
+    instead. A total that starts at +0.0 never becomes -0.0, so whether
+    numpy's reduction starts from its identity or from the first row cannot
+    show either.
     """
     rows[0] += total
-    row_ordered_sum(rows, total)
+    if rows.shape[1] == 1:
+        total[:] = np.add.accumulate(rows, axis=0)[-1]
+    else:
+        np.add.reduce(rows, axis=0, out=total)
 
 
 def sum_over_validation(
@@ -317,9 +311,11 @@ def sum_over_validation(
     ahead of the running total. ``add(total, part)`` folds one group's result
     into the (N,) total, which starts at +0.0, in place. By default ``part``
     is the group's (hi - lo, N) score matrix and :func:`add_rows` adds its
-    rows one after the other, so every column of the result is
-    ((0 + s_0) + s_1) + ... in validation order, whatever the groups. ``add``
-    runs in the calling thread, one group at a time in validation order. So
+    rows one after the other; the TKNN pass's ``add`` builds its rows tile
+    by tile and hands each tile to :func:`add_rows` too. So every column of
+    the result is ((0 + s_0) + s_1) + ... in validation order, whatever the
+    groups. ``add`` runs in the calling thread, one group at a time in
+    validation order. So
     ``work`` may run in any order and on any thread, while what ``add`` does
     (adding rows, privatizing counts) happens as in a single-threaded loop,
     and the result is bit-identical at any ``threads``.

@@ -34,7 +34,18 @@ def knn_old_sensitivity(k: int) -> float:
 
 
 def calibrate_sigma(sensitivity: float, epsilon: float, delta: float) -> float:
-    """Per-mechanism Gaussian noise scale: sigma = sens * sqrt(ln(1.25/delta)) / eps."""
+    """Per-mechanism Gaussian noise scale: sigma = sens * sqrt(ln(1.25/delta)) / eps.
+
+    This rule lacks the factor 2 under the root of the classical Gaussian
+    mechanism bound, sens * sqrt(2 ln(1.25/delta)) / eps (which itself holds
+    only for eps < 1), so it can give too little noise for the requested
+    (eps, delta): at eps = 1, delta = 1e-5 it returns sigma = 3.426, and
+    :func:`nnshapley.accountant.analytic_gaussian_epsilon` puts the true
+    epsilon of that sigma at 1.098. It is kept as it is because results made
+    with it must stay reproducible. For a guaranteed budget use
+    :func:`nnshapley.accountant.calibrate_sigma_for_budget`, which the CLI
+    always does.
+    """
     if not 0.0 < sensitivity < math.inf:  # also false for NaN
         raise ParameterError("sensitivity must be positive and finite")
     if not 0.0 < epsilon < math.inf:
@@ -47,7 +58,13 @@ def calibrate_sigma(sensitivity: float, epsilon: float, delta: float) -> float:
 @dataclass(frozen=True)
 class DpParams:
     """Privacy parameters for one release. Exactly one of epsilon/sigma is set;
-    the other is derived through the calibration rule at the point of use."""
+    the other is derived through the calibration rule at the point of use.
+
+    That rule is :func:`calibrate_sigma`, which can give too little noise for
+    the requested epsilon (see there). To meet a budget, calibrate sigma with
+    :func:`nnshapley.accountant.calibrate_sigma_for_budget` and pass
+    ``sigma=``, as the CLI does.
+    """
 
     delta: float
     epsilon: float | None = None
@@ -66,6 +83,8 @@ class DpParams:
             raise ParameterError("sigma must be nonnegative and finite")
         if not 0.0 < self.q <= 1.0:
             raise ParameterError("subsampling rate q must lie in (0, 1]")
+        if self.seed < 0:
+            raise ParameterError("seed must be nonnegative")
 
     def resolve_sigma(self, sensitivity: float) -> float:
         if self.sigma is not None:

@@ -48,6 +48,8 @@ class MiaConfig:
             raise ParameterError("at least two shadow datasets are required")
         if self.variance_floor <= 0.0:
             raise ParameterError("variance_floor must be positive")
+        if self.seed < 0:
+            raise ParameterError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)

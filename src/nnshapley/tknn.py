@@ -37,10 +37,13 @@ the data and its own group, so worker threads may run it for several groups
 at once. Pass 2 is the driver's ``add``, which runs in the calling thread,
 one group at a time in validation order: the private release privatizes
 the group's triples there, one row at a time; then it builds the group's
-value tables, gathers each tile's scores and adds the rows to the running
-total one after the other, starting from the total. Every column of the
-result is therefore ((0 + s_0) + s_1) + ... in validation order, whatever
-R, C or the thread count, and the integer counts are exact in any order.
+value tables and, tile by tile, gathers the tile's score rows into one
+(R, C) buffer allocated once per group and adds them to the tile's columns of
+the running total with :func:`nnshapley.dataset.add_rows`, the row adder of
+every release, one row after the other, starting from the total. Every
+column of the result is therefore ((0 + s_0) + s_1) + ... in validation
+order, whatever R, C or the thread count, and the integer counts are exact
+in any order.
 """
 
 from __future__ import annotations
@@ -56,9 +59,9 @@ from .dataset import (
     Dataset,
     DistanceMetric,
     LabeledPoint,
+    add_rows,
     distance_matrix,
     distances_to,
-    row_ordered_sum,
     sum_over_validation,
 )
 from .errors import EnumerationLimitError, ParameterError
@@ -71,6 +74,8 @@ class TknnConfig:
     metric: DistanceMetric = DistanceMetric.NEGATIVE_COSINE
 
     def __post_init__(self) -> None:
+        if math.isnan(self.tau):  # +-inf are allowed: every point or none is within
+            raise ParameterError("tau must be a number, not NaN")
         if self.metric is DistanceMetric.NEGATIVE_COSINE and not -1.0 <= self.tau <= 1.0:
             raise ParameterError("tau must lie in [-1, 1] for negative-cosine distance")
 
@@ -281,7 +286,10 @@ def tknn_tiled_sum(
     :func:`nnshapley.dataset.sum_over_validation` drives the row groups:
     pass 1 is its ``work``, which may run on ``threads`` workers, and
     ``release`` with pass 2 is its ``add``, which runs in the calling thread
-    in validation order (see the module docstring).
+    in validation order (see the module docstring). Pass 2 gathers each
+    column tile's score rows with :func:`tknn_gather` into one buffer
+    allocated per row group, the last, narrower tile into a contiguous prefix
+    of it, and adds them with :func:`nnshapley.dataset.add_rows`.
     """
     n = ds.n
     tiles = [(c0, min(c0 + _COLUMN_TILE, n)) for c0 in range(0, n, _COLUMN_TILE)]
@@ -311,11 +319,10 @@ def tknn_tiled_sum(
         if release is not None:
             triples = release(lo, *triples)
         table = tknn_value_table(*triples, num_classes)
+        buffer = np.empty(len(code) * min(n, _COLUMN_TILE))  # one tile's score rows
         for c0, c1 in tiles:
-            rows = np.empty((len(code) + 1, c1 - c0))  # row 0 is the running total
-            rows[0] = total[c0:c1]
-            tknn_gather(table, code[:, c0:c1], out=rows[1:])
-            row_ordered_sum(rows, total[c0:c1])
+            rows = buffer[: len(code) * (c1 - c0)].reshape(len(code), c1 - c0)
+            add_rows(total[c0:c1], tknn_gather(table, code[:, c0:c1], out=rows))
 
     groups = [(lo, min(lo + _ROW_GROUP, dval.n)) for lo in range(0, dval.n, _ROW_GROUP)]
     return sum_over_validation(ds, dval, cfg.metric, groups, count, accumulate, threads)

@@ -284,6 +284,7 @@ class TestAttackCommand:
 
 
 _BAD_FLAG_COMMANDS = {
+    "value": ["value", "--synthetic", "n=50,d=3"],
     "detect": ["detect", "--synthetic", "n=50,d=3", "--corruption", "flip"],
     "dp-value": ["dp-value", "--synthetic", "n=50,d=3", "--sigma", "1.0"],
     "attack": ["attack", "--synthetic", "d=3", "--members", "4", "--nonmembers", "4",
@@ -297,6 +298,8 @@ _BAD_FLAG_COMMANDS = {
     [
         pytest.param("tknn", "dp-tknn", ["--k", "0"], id="k0"),
         pytest.param("knn", "dp-knn", ["--tau", "7"], id="tau7"),
+        pytest.param("tknn", "dp-tknn", ["--metric", "euclidean", "--tau", "nan"],
+                     id="euclidean-tau-nan"),
     ],
 )
 @pytest.mark.parametrize("command", list(_BAD_FLAG_COMMANDS))
@@ -382,6 +385,52 @@ def test_non_finite_dp_parameter_exits_2(tmp_path, capsys, args):
     assert code == 2
     assert "finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+_SEEDED_COMMANDS = {
+    **_THREADED_COMMANDS,
+    "attack": _BAD_FLAG_COMMANDS["attack"],
+    "bench": _BAD_FLAG_COMMANDS["bench"],
+    "account": _ACCOUNT + ["--sigma", "2"],
+}
+
+
+@pytest.mark.parametrize("seed", ["-1", str(-2**40)])
+@pytest.mark.parametrize("command", list(_SEEDED_COMMANDS))
+def test_negative_seed_exits_2_before_data(tmp_path, monkeypatch, capsys, command, seed):
+    def no_data(*args, **kwargs):
+        raise AssertionError("data generated before --seed was validated")
+
+    monkeypatch.setattr("nnshapley.cli.generate_gaussian_synthetic", no_data)
+    monkeypatch.setattr("nnshapley.evaluation.generate_gaussian_synthetic", no_data)
+    out = tmp_path / "x.json"
+    code = run_cli(_SEEDED_COMMANDS[command] + ["--seed", seed, "--output", str(out)])
+    assert code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []  # neither the artifact nor a report
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        pytest.param(_DP_VALUE, id="dp-value-dp-tknn"),
+        pytest.param(_DP_VALUE[:-1] + ["dp-knn"], id="dp-value-dp-knn"),
+        pytest.param(["detect", "--synthetic", "n=30,d=3", "--synthetic-val", "n=4",
+                      "--corruption", "flip", "--method", "dp-tknn"], id="detect"),
+        pytest.param(_BAD_FLAG_COMMANDS["attack"] + ["--method", "dp-tknn"], id="attack"),
+    ],
+)
+def test_epsilon_is_met_through_the_accountant_not_calibrate_sigma(tmp_path, monkeypatch,
+                                                                  args):
+    # dp.calibrate_sigma can give too little noise for the requested budget;
+    # every command calibrates sigma by inverting the accountant instead.
+    def refuse(*a, **k):
+        raise AssertionError("the CLI reached dp.calibrate_sigma")
+
+    monkeypatch.setattr("nnshapley.dp.calibrate_sigma", refuse)
+    out = tmp_path / "x.json"
+    assert run_cli(args + ["--epsilon", "2", "--output", str(out)]) == 0
+    assert out.exists()
 
 
 class TestBenchCommand:

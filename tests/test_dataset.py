@@ -273,6 +273,20 @@ class TestDistance:
                 norms = training_norms(DistanceMetric.NEGATIVE_COSINE, feats)
                 assert norms.tobytes() == expected.tobytes(), (block, n, d)
 
+    def test_euclidean_rows_do_not_depend_on_the_chunk_budget(self, rng, monkeypatch):
+        # Each entry sums over its own (validation, training) pair alone, so a
+        # row has the same bits whether its chunk holds one row or all of them.
+        vals = rng.standard_normal((23, 6)) * 10.0 ** rng.integers(-5, 5, (23, 1))
+        feats = rng.standard_normal((40, 6)) * 10.0 ** rng.integers(-5, 5, (40, 1))
+        vals[4] = feats[7]  # an exact duplicate, at distance exactly zero
+        expected = np.sqrt(((vals[:, None, :] - feats[None, :, :]) ** 2).sum(axis=2))
+        whole = distance_matrix(DistanceMetric.EUCLIDEAN, feats, vals)  # one chunk
+        for rows in (1, 2, 5, 22):
+            monkeypatch.setattr(dataset_module, "_SCORE_CHUNK_ELEMS", rows * feats.size)
+            got = distance_matrix(DistanceMetric.EUCLIDEAN, feats, vals)
+            assert got.tobytes() == whole.tobytes(), rows
+        assert np.allclose(whole, expected, rtol=1e-12) and whole[4, 7] == 0.0
+
     def test_duplicate_rows_get_identical_distances(self, rng):
         feats = rng.standard_normal((10, 4))
         feats[7] = feats[3]  # exact duplicate

@@ -90,6 +90,10 @@ class TestCalibration:
         with pytest.raises(ParameterError):
             DpParams(delta=1e-4, **budget)
 
+    def test_params_reject_a_negative_seed(self):
+        with pytest.raises(ParameterError, match="seed"):
+            DpParams(delta=1e-4, sigma=1.0, seed=-1)
+
     def test_params_allow_zero_sigma(self):
         # The degenerate release: no noise, scores equal the non-private ones.
         assert DpParams(delta=1e-4, sigma=0.0).resolve_sigma(1.0) == 0.0

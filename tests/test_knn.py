@@ -331,3 +331,21 @@ def test_peak_memory_does_not_grow_with_the_validation_set():
     finally:
         tracemalloc.stop()
     assert peak < matrix_bytes / 2, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_euclidean_peak_memory_does_not_grow_with_the_validation_set():
+    # The Euclidean twin of the test above. Its distances take a (rows, N, d)
+    # difference tensor, held to the same _SCORE_CHUNK_ELEMS budget as the
+    # row groups: at N * d = 2e6 that is one row at a time (16 MB), on top of
+    # the group's (5, N) work arrays. A tensor of all 5 rows of a group
+    # (80 MB) does not fit under half of the 102.4 MB matrix.
+    ds = generate_gaussian_synthetic(200_000, 10, seed=1)
+    dval = generate_gaussian_synthetic(64, 10, seed=2)
+    matrix_bytes = dval.n * ds.n * 8
+    tracemalloc.start()
+    try:
+        knn_shapley_all(ds, KnnConfig(5, EUCLID), dval, 2, threads=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < matrix_bytes / 2, f"peak {peak / 1e6:.1f} MB"

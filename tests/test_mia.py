@@ -136,6 +136,8 @@ class TestMiaScore:
             MiaConfig(shadow_count=1)
         with pytest.raises(ParameterError):
             MiaConfig(variance_floor=0.0)
+        with pytest.raises(ParameterError, match="seed"):
+            MiaConfig(seed=-1)
 
 
 class TestMiaAuroc:

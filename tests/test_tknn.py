@@ -436,3 +436,18 @@ class TestConfig:
             TknnConfig(-1.5, NEGCOS)
         TknnConfig(-0.5, NEGCOS)
         TknnConfig(99.0, EUCLID)  # unrestricted for euclidean
+
+    @pytest.mark.parametrize("metric", [NEGCOS, EUCLID])
+    def test_nan_tau_rejected_for_every_metric(self, metric):
+        with pytest.raises(ParameterError, match="NaN"):
+            TknnConfig(math.nan, metric)
+
+    def test_infinite_tau_takes_every_point_or_none(self, rng):
+        ds = Dataset(rng.standard_normal((9, 3)), np.arange(9) % 2, 2)
+        dval = Dataset(rng.standard_normal((4, 3)), np.arange(4) % 2, 2)
+
+        def scores(tau):
+            return tknn_shapley_all(ds, TknnConfig(tau, EUCLID), dval, 2).scores
+
+        assert np.array_equal(scores(math.inf), scores(1e300))
+        assert np.array_equal(scores(-math.inf), np.zeros(9))
