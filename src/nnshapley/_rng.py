@@ -50,14 +50,20 @@ _XOR_B = np.array([_INIT_B * pow(_MULT_B, j, 2**32) & _MASK for j in range(9)], 
 _CYCLE = np.arange(8) % _POOL_SIZE
 
 
+def _seed_sequence(seed: int, key: tuple[int, ...]) -> np.random.SeedSequence:
+    if seed < 0:  # numpy would raise a bare ValueError
+        raise ParameterError(f"seed must be nonnegative; got {seed}")
+    return np.random.SeedSequence(seed, spawn_key=key)
+
+
 def stream(seed: int, *key: int) -> np.random.Generator:
     """Generator for (seed, key...); identical keys give identical streams."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
+    return np.random.default_rng(_seed_sequence(seed, key))
 
 
 def substream_seed(seed: int, *key: int) -> int:
     """A derived integer seed, for APIs that take a seed rather than a generator."""
-    return int(np.random.SeedSequence(seed, spawn_key=tuple(key)).generate_state(1, np.uint64)[0] >> 1)
+    return int(_seed_sequence(seed, key).generate_state(1, np.uint64)[0] >> 1)
 
 
 class _State(ISeedSequence):
@@ -84,7 +90,7 @@ def _state_words(seed: int, key: tuple[int, ...], lo: int, hi: int, n_words: int
         raise ValueError("expected non-negative integer")
     if hi > 2**32:
         raise ParameterError("batched stream keys must be below 2**32")
-    pool = np.random.SeedSequence(seed, spawn_key=key).pool
+    pool = _seed_sequence(seed, key).pool
     # The prefix's entropy is the seed padded to the pool size, then the key
     # words. Mixing it called hashmix once per pool word, once per ordered
     # pair of pool words, then once per pool word for each entropy word past

@@ -13,8 +13,10 @@ grid end is tracked separately and charged in full against delta.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -284,9 +286,11 @@ def delta_at_epsilon(
 def epsilon_at_delta(pld: PrivacyLossDistribution, query: AccountantQuery | float) -> float:
     """Smallest nonnegative grid epsilon whose pessimistic delta meets the target.
 
-    Raises when the target delta is below the truncated mass; that means the
-    grid was too coarse (or the tail too heavy) for this query, so rerun with
-    a finer grid or smaller truncation tail.
+    delta(eps) is nonincreasing in eps, so :func:`bisect.bisect_left` finds
+    the first grid index that meets the target. Raises when the target delta
+    is below the truncated mass; that means the grid was too coarse (or the
+    tail too heavy) for this query, so rerun with a finer grid or smaller
+    truncation tail.
     """
     delta = query.target_delta if isinstance(query, AccountantQuery) else float(query)
     if not 0.0 < delta < 1.0:
@@ -299,14 +303,13 @@ def epsilon_at_delta(pld: PrivacyLossDistribution, query: AccountantQuery | floa
     grid = pld.grid()
     if delta_at_epsilon(pld, 0.0, grid) <= delta:
         return 0.0
-    lo, hi = 0, grid.shape[0] - 1  # delta at grid[hi] equals truncated mass < delta
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if delta_at_epsilon(pld, float(grid[mid]), grid) <= delta:
-            hi = mid
-        else:
-            lo = mid + 1
-    return max(float(grid[lo]), 0.0)
+
+    def meets(j: int) -> bool:
+        return delta_at_epsilon(pld, float(grid[j]), grid) <= delta
+
+    # delta at the last grid point equals truncated mass < delta: never probed.
+    n = grid.shape[0]
+    return max(float(grid[bisect.bisect_left(range(n), True, hi=n - 1, key=meets)]), 0.0)
 
 
 def analytic_gaussian_epsilon(sensitivity: float, sigma: float, delta: float) -> float:
@@ -450,74 +453,30 @@ def _screen(
     return None
 
 
-def _bisect_sigma(
-    sensitivity: float,
-    epsilon: float,
-    delta: float,
-    q: float,
-    mechanisms: int,
-    grid_step: float,
-    truncation_tail: float,
-    rel_tol: float,
-    screen: bool,
-) -> CalibrationResult | None:
-    """Bisect sigma; with ``screen``, probes go through :func:`_screen` first.
+def _smallest_sigma(
+    meets: Callable[[float], bool], sensitivity: float, start: float, rel_tol: float
+) -> float:
+    """Smallest sigma that ``meets`` the budget, to a relative tolerance.
 
-    Returns the fine-grid report of the smallest accepted sigma, or None when
-    the screened pass accepted a sigma the fine grid cannot account.
+    Doubles ``start`` until it is accepted, halves it while the half is
+    accepted, then bisects geometrically; returns the accepted upper end.
     """
-    # Basic composition gives a sufficient (loose) starting noise level.
-    per_eps = epsilon / mechanisms
-    per_delta = delta / (2.0 * mechanisms)
-    hi = sensitivity * math.sqrt(2.0 * math.log(1.25 / per_delta)) / per_eps
-    accepted: CalibrationResult | None = None  # the fine report of hi
-    screened = False  # whether the screen decided the latest probe
-
-    def meets_budget(sig: float) -> bool:
-        nonlocal accepted, screened
-        if sensitivity / sig > _LOSS_RATIO_GUARD:
-            return False
-        if screen:
-            decided = _screen(
-                sensitivity, sig, q, mechanisms, delta, epsilon, grid_step, truncation_tail
-            )
-            screened = decided is not None
-            if screened:
-                if decided:
-                    accepted = None  # hi moves to a sigma with no fine report
-                return decided
-        try:
-            result = account_sigma(
-                sensitivity, sig, q, mechanisms, delta, grid_step, truncation_tail
-            )
-        except AccountingError:
-            return False
-        if result.epsilon > epsilon:
-            return False
-        accepted = result  # every accepted sigma becomes the new upper end
-        return True
-
-    while not meets_budget(hi):
+    hi = start
+    while not meets(hi):
         hi *= 2.0
         if hi > 1e9 * sensitivity:
             raise AccountingError("failed to bracket a sufficient sigma")
     lo = hi / 2.0
-    while lo > sensitivity * 1e-6 and meets_budget(lo):
+    while lo > sensitivity * 1e-6 and meets(lo):
         hi = lo
         lo /= 2.0
     while hi / lo > 1.0 + rel_tol:
         mid = math.sqrt(lo * hi)
-        if meets_budget(mid):
+        if meets(mid):
             hi = mid
         else:
             lo = mid
-    if accepted is not None and not screened:
-        return accepted
-    # Compose the report (again) so that the last composition is a fine one.
-    try:
-        return account_sigma(sensitivity, hi, q, mechanisms, delta, grid_step, truncation_tail)
-    except AccountingError:
-        return None
+    return hi
 
 
 def calibrate_sigma_for_budget(
@@ -536,23 +495,46 @@ def calibrate_sigma_for_budget(
     sigma is guaranteed consistent with the reported (pessimistic) epsilon.
     Each probe is first screened on a grid _SCREEN_FACTOR times coarser
     (:func:`_screen`); only probes it cannot decide compose on the fine grid.
-    The report is always the fine grid's. Screen rejections are certified,
-    and every screen acceptance lies at or above the returned sigma, so when
-    the fine grid meets the budget there (and so, as epsilon falls with
-    sigma, at each of them), the screened pass took the same path as the
-    fine-only bisection. When it does not, the bisection reruns without the
-    screen.
+    The fine reports are kept by sigma for the whole call, so no sigma
+    composes twice on the fine grid, and the report returned is the fine
+    grid's. Screen rejections are certified, and every screen acceptance
+    lies at or above the returned sigma, so when the fine grid meets the
+    budget there (and so, as epsilon falls with sigma, at each of them), the
+    screened pass took the same path as the fine-only bisection. When it
+    does not, the bisection reruns without the screen and reuses the fine
+    reports the screened pass made.
     """
     _check_positive(sensitivity=sensitivity, epsilon=epsilon, rel_tol=rel_tol)
     if mechanisms < 1:
         raise ParameterError("mechanisms must be at least 1")
     if not 0.0 < delta < 1.0:
         raise ParameterError("delta must lie in (0, 1)")
-    args = (sensitivity, epsilon, delta, q, mechanisms, grid_step, truncation_tail, rel_tol)
-    result = _bisect_sigma(*args, screen=True)
-    if result is None or result.epsilon > epsilon:
-        result = _bisect_sigma(*args, screen=False)
-    return result
+    fine: dict[float, CalibrationResult | None] = {}  # None: the fine grid cannot account it
+
+    def meets_fine(sig: float) -> bool:
+        if sig not in fine:
+            try:
+                fine[sig] = account_sigma(
+                    sensitivity, sig, q, mechanisms, delta, grid_step, truncation_tail
+                )
+            except AccountingError:
+                fine[sig] = None
+        return fine[sig] is not None and fine[sig].epsilon <= epsilon
+
+    def meets_screened(sig: float) -> bool:
+        decided = _screen(
+            sensitivity, sig, q, mechanisms, delta, epsilon, grid_step, truncation_tail
+        )
+        return meets_fine(sig) if decided is None else decided
+
+    # Basic composition gives a sufficient (loose) starting noise level.
+    per_eps = epsilon / mechanisms
+    per_delta = delta / (2.0 * mechanisms)
+    start = sensitivity * math.sqrt(2.0 * math.log(1.25 / per_delta)) / per_eps
+    sigma = _smallest_sigma(meets_screened, sensitivity, start, rel_tol)
+    if not meets_fine(sigma):
+        sigma = _smallest_sigma(meets_fine, sensitivity, start, rel_tol)
+    return fine[sigma]
 
 
 def _check_positive(**values: float) -> None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -224,12 +225,27 @@ def _load_datasets(args: argparse.Namespace) -> tuple[Dataset, Dataset]:
     return train, dval
 
 
+def _check_dp_flags(args: argparse.Namespace) -> None:
+    """The accountant flags, checked whether or not the method reads them."""
+    q, delta, step, tail = args.q, args.delta, args.grid_step, args.truncation_tail
+    for flag, value, ok, rule in (
+        ("--q", q, 0.0 < q <= 1.0, "lie in (0, 1]"),
+        ("--delta", delta, 0.0 < delta < 1.0, "lie in (0, 1)"),
+        ("--grid-step", step, 0.0 < step < math.inf, "be positive and finite"),
+        ("--truncation-tail", tail, 0.0 < tail < 1.0, "lie in (0, 1)"),
+    ):
+        if not ok:  # the comparisons are also false for NaN
+            raise ParameterError(f"{flag} must {rule}; got {value}")
+
+
 def _method_config(args: argparse.Namespace) -> MethodConfig:
     """The method the flags ask for, validated before any data is loaded.
 
     A private method carries the requested budget (``--epsilon`` or
     ``--sigma``); :func:`_resolve_dp` turns it into the release's noise scale.
     """
+    if hasattr(args, "q"):  # the commands that take the DP flags
+        _check_dp_flags(args)
     dp = None
     if METHODS[args.method].private:
         dp = DpParams(args.delta, args.epsilon, args.sigma, seed=substream_seed(args.seed, 9))

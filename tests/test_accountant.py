@@ -335,7 +335,7 @@ CALIBRATION_CASES = {
     "detection-dp-tknn": (S3, 1.0, 1e-4, 0.01, 200, H),  # the detection fixture
     "detection-dp-knn": (1 / 30, 1.0, 1e-4, 1.0, 200, H),
     "cli-defaults": (S3, 1.0, 1e-4, 0.01, 100, H),  # dp-value --epsilon 1, 100 val points
-    # The screen decides the probes after a fine acceptance: the report is composed again.
+    # The screen decides the probes after a fine acceptance: that acceptance's report is kept.
     "screen-decides-last": (S3, 1.0, 1e-4, 0.1, 8, H),
     "q-one": (S3, 2.0, 1e-4, 1.0, 4, H),
     "one-mechanism": (S3, 1.0, 1e-5, 0.05, 1, H),
@@ -344,6 +344,21 @@ CALIBRATION_CASES = {
     # Below the coarse grid's rounding drift (about m H / 2): only the fine grid accepts.
     "coarse-accepts-nothing": (S3, 0.1, 1e-4, 0.01, 400, H),
 }
+
+
+def _optimistic_coarse_grid(monkeypatch):
+    """Shift every coarse epsilon down by 0.05, so the screen accepts too small
+    a sigma; returns the (grid_step, sigma) of each composition."""
+    calls = []
+    original = accountant.composed_epsilon
+
+    def optimistic(sensitivity, sigma, q, mechanisms, delta, grid_step, *args):
+        calls.append((grid_step, sigma))
+        eps, pld = original(sensitivity, sigma, q, mechanisms, delta, grid_step, *args)
+        return (eps if grid_step == H else eps - 0.05), pld
+
+    monkeypatch.setattr(accountant, "composed_epsilon", optimistic)
+    return calls
 
 
 class TestCoarseScreen:
@@ -355,7 +370,7 @@ class TestCoarseScreen:
 
         def recording(sensitivity, sigma, q, mechanisms, delta, grid_step, *args):
             eps, pld = original(sensitivity, sigma, q, mechanisms, delta, grid_step, *args)
-            calls.append((grid_step, eps))
+            calls.append((grid_step, sigma, eps))
             return eps, pld
 
         monkeypatch.setattr(accountant, "composed_epsilon", recording)
@@ -363,8 +378,9 @@ class TestCoarseScreen:
         monkeypatch.undo()
         expected = _fine_only_calibration(*CALIBRATION_CASES[case])
         assert cal.report() == expected.report()
-        assert calls[-1][0] == step  # the fine grid composes last
-        coarse_accepts = [eps <= epsilon for grid_step, eps in calls if grid_step != step]
+        fine_sigmas = [sigma for grid_step, sigma, _ in calls if grid_step == step]
+        assert len(fine_sigmas) == len(set(fine_sigmas))  # no sigma composes twice on the fine grid
+        coarse_accepts = [eps <= epsilon for grid_step, _, eps in calls if grid_step != step]
         assert any(coarse_accepts) == (case != "coarse-accepts-nothing")
 
     @pytest.mark.parametrize("case", ["mia-attack", "q-one", "one-mechanism", "small-sensitivity"])
@@ -389,27 +405,37 @@ class TestCoarseScreen:
     def test_wrong_coarse_acceptance_falls_back(self, monkeypatch, wrong):
         case = CALIBRATION_CASES["mia-attack"]
         if wrong == "optimistic-coarse-epsilon":
-            original = accountant.composed_epsilon
-
-            def optimistic(sensitivity, sigma, q, mechanisms, delta, grid_step, *args):
-                eps, pld = original(sensitivity, sigma, q, mechanisms, delta, grid_step, *args)
-                return (eps if grid_step == H else eps - 0.05), pld
-
-            monkeypatch.setattr(accountant, "composed_epsilon", optimistic)
+            _optimistic_coarse_grid(monkeypatch)
         else:
             # Near the boundary one discretization needs about 55k points on
             # the fine grid and 11k on the coarse one.
             monkeypatch.setattr(accountant, "MAX_GRID_POINTS", 30_000)
-        passes = []
-        bisect = accountant._bisect_sigma
+        screens = []  # per search pass: how many probes went through the screen
+        screen, search = accountant._screen, accountant._smallest_sigma
 
-        def recording(*args, screen):
-            passes.append(screen)
-            return bisect(*args, screen=screen)
+        def counting_screen(*args):
+            screens[-1] += 1
+            return screen(*args)
 
-        monkeypatch.setattr(accountant, "_bisect_sigma", recording)
+        def recording_search(*args):
+            screens.append(0)
+            return search(*args)
+
+        monkeypatch.setattr(accountant, "_screen", counting_screen)
+        monkeypatch.setattr(accountant, "_smallest_sigma", recording_search)
         cal = calibrate_sigma_for_budget(*case)
-        assert passes == [True, False]
+        assert len(screens) == 2 and screens[0] > 0 and screens[1] == 0  # a fine-only rerun
+        assert cal.report() == _fine_only_calibration(*case).report()
+
+    # Cases where the fine-only rerun probes a sigma the screened pass composed.
+    @pytest.mark.parametrize("case", ["detection-dp-knn", "screen-decides-last"])
+    def test_fallback_reuses_the_screened_pass_fine_reports(self, monkeypatch, case):
+        case = CALIBRATION_CASES[case]
+        calls = _optimistic_coarse_grid(monkeypatch)
+        cal = calibrate_sigma_for_budget(*case)
+        fine_sigmas = [sigma for grid_step, sigma in calls if grid_step == H]
+        assert cal.sigma in fine_sigmas
+        assert len(fine_sigmas) == len(set(fine_sigmas))  # each fine sigma composed once
         assert cal.report() == _fine_only_calibration(*case).report()
 
     def test_dp_release_settings_compose_on_the_fine_grid_at_most_three_times(

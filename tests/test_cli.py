@@ -318,6 +318,38 @@ def test_bad_hyperparameter_exits_2_before_data(tmp_path, monkeypatch, command, 
     assert not out.exists()
 
 
+_DP_FLAG_COMMANDS = {
+    "dp-value": _BAD_FLAG_COMMANDS["dp-value"] + ["--method", "dp-tknn"],
+    "dp-value-csv": ["dp-value", "--train", "/nonexistent.csv", "--val", "/nonexistent.csv",
+                     "--method", "dp-knn", "--sigma", "1"],
+    "detect-tknn": _BAD_FLAG_COMMANDS["detect"] + ["--method", "tknn"],
+    "detect-dp-knn": _BAD_FLAG_COMMANDS["detect"] + ["--method", "dp-knn", "--sigma", "1"],
+    "attack-knn": _BAD_FLAG_COMMANDS["attack"] + ["--method", "knn"],
+    "attack-dp-tknn": _BAD_FLAG_COMMANDS["attack"] + ["--method", "dp-tknn", "--epsilon", "1"],
+}
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--q", "0"), ("--q", "7"), ("--delta", "0"), ("--delta", "5"), ("--grid-step", "-1"),
+     ("--grid-step", "inf"), ("--truncation-tail", "0"), ("--truncation-tail", "1")],
+)
+@pytest.mark.parametrize("command", list(_DP_FLAG_COMMANDS))
+def test_bad_dp_flag_exits_2_before_data(tmp_path, monkeypatch, capsys, command, flag, value):
+    # Every command that takes the accountant flags checks all of them, even
+    # where the method does not read them.
+    def no_data(*args, **kwargs):
+        raise AssertionError("data generated before the flags were validated")
+
+    monkeypatch.setattr("nnshapley.cli.generate_gaussian_synthetic", no_data)
+    monkeypatch.setattr("nnshapley.cli.load_csv", no_data)
+    out = tmp_path / "x.out"
+    code = run_cli(_DP_FLAG_COMMANDS[command] + [flag, value, "--output", str(out)])
+    assert code == 2
+    assert flag in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 _THREADED_COMMANDS = {
     "value": ["value", "--synthetic", "n=50,d=3", "--method", "tknn"],
     "dp-value": ["dp-value", "--synthetic", "n=50,d=3", "--method", "dp-tknn", "--sigma", "1.0"],

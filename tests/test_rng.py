@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from nnshapley import _rng
 from nnshapley._rng import stream, streams, substream_seed, substream_seeds
+from nnshapley.dataset import add_feature_noise, flip_labels, generate_gaussian_synthetic
 from nnshapley.errors import ParameterError
+from nnshapley.evaluation import bench_runtime
 
 # The random seeds stay numpy integers, which SeedSequence also takes.
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 + 5]
@@ -59,3 +62,23 @@ def test_indices_past_one_word_are_rejected():
         streams(0, (3,), 2**32 - 1, 2**32 + 1)
     with pytest.raises(ParameterError):
         substream_seeds(0, (3,), 0, 2**32 + 1)
+
+
+_DATA = generate_gaussian_synthetic(10, 2, seed=0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: generate_gaussian_synthetic(10, 2, seed=-1), id="synthetic"),
+        pytest.param(lambda: flip_labels(_DATA, 0.2, -1), id="flip-labels"),
+        pytest.param(lambda: add_feature_noise(_DATA, 0.2, -1), id="feature-noise"),
+        pytest.param(lambda: bench_runtime([20], n_val=3, seed=-1), id="bench-runtime"),
+        pytest.param(lambda: _rng.streams(-1, (3,), 0, 2), id="streams"),
+        pytest.param(lambda: _rng.substream_seeds(-1, (3,), 0, 2), id="substream-seeds"),
+        pytest.param(lambda: _rng.substream_seed(-1, 3), id="substream-seed"),
+    ],
+)
+def test_negative_seed_is_a_parameter_error(call):
+    with pytest.raises(ParameterError, match="seed must be nonnegative"):
+        call()
