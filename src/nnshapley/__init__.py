@@ -49,7 +49,6 @@ from .tknn import (
 from .dp import (
     DpParams,
     PrivatizedCounts,
-    calibrate_sigma,
     dp_knn_shapley_all,
     dp_tknn_shapley_all,
     poisson_subsample,

@@ -96,7 +96,8 @@ def _build_parser() -> argparse.ArgumentParser:
     det.set_defaults(handler=_cmd_detect)
 
     atk = sub.add_parser("attack", help="membership-inference attack on value scores")
-    atk.add_argument("--synthetic", required=True, help="e.g. n=1000,d=10 (pool size n)")
+    atk.add_argument("--synthetic", required=True, help="d=<dimension>; the pool holds "
+                     "--members + --nonmembers + --shadow-pool + --n-val points")
     atk.add_argument("--members", type=int, default=200)
     atk.add_argument("--nonmembers", type=int, default=200)
     atk.add_argument("--shadow-pool", type=int, default=400)
@@ -180,10 +181,13 @@ def _config_echo(args: argparse.Namespace) -> dict:
     return {k: (str(v) if isinstance(v, Path) else v) for k, v in sorted(config.items())}
 
 
-def _parse_kv(text: str, what: str) -> dict[str, int]:
+def _parse_kv(text: str, what: str, keys: tuple[str, ...]) -> dict[str, int]:
+    """``k=v`` pairs naming each of ``keys`` once and nothing else; values are counts."""
     parts = [part.partition("=") for part in text.split(",") if part.strip()]
-    if not all(sep for _, sep, _ in parts):
-        raise ParameterError(f"bad {what} spec {text!r}; expected k=v pairs")
+    named = sorted(key.strip() for key, _, _ in parts)
+    if not all(sep for _, sep, _ in parts) or named != sorted(keys):
+        expected = ",".join(f"{key}=<count>" for key in keys)
+        raise ParameterError(f"bad {what} spec {text!r}; expected {expected}")
     return {key.strip(): _parse_count(value, what) for key, _, value in parts}
 
 
@@ -207,16 +211,12 @@ def _load_datasets(args: argparse.Namespace) -> tuple[Dataset, Dataset]:
         label_column = args.label_column
     normalize = not args.no_l2_normalize
     if args.synthetic is not None:
-        spec = _parse_kv(args.synthetic, "--synthetic")
-        if "n" not in spec or "d" not in spec:
-            raise ParameterError("--synthetic requires n=<count>,d=<dimension>")
+        spec = _parse_kv(args.synthetic, "--synthetic", ("n", "d"))
+        n_val = _parse_kv(args.synthetic_val or "n=100", "--synthetic-val", ("n",))["n"]
         train = generate_gaussian_synthetic(
             spec["n"], spec["d"], substream_seed(args.seed, TAG_DATA, 0)
         )
-        val_spec = _parse_kv(args.synthetic_val or "n=100", "--synthetic-val")
-        dval = generate_gaussian_synthetic(
-            val_spec.get("n", 100), spec["d"], substream_seed(args.seed, TAG_DATA, 1)
-        )
+        dval = generate_gaussian_synthetic(n_val, spec["d"], substream_seed(args.seed, TAG_DATA, 1))
         return train, dval
     if args.val is None:
         raise ParameterError("--val is required with --train")
@@ -226,9 +226,13 @@ def _load_datasets(args: argparse.Namespace) -> tuple[Dataset, Dataset]:
 
 
 def _check_dp_flags(args: argparse.Namespace) -> None:
-    """The accountant flags, checked whether or not the method reads them."""
+    """The budget and accountant flags, checked before any data whether or not
+    the method reads them; a private method needs exactly one budget flag."""
+    eps, sigma = args.epsilon, args.sigma
     q, delta, step, tail = args.q, args.delta, args.grid_step, args.truncation_tail
     for flag, value, ok, rule in (
+        ("--epsilon", eps, eps is None or 0.0 < eps < math.inf, "be positive and finite"),
+        ("--sigma", sigma, sigma is None or 0.0 <= sigma < math.inf, "be nonnegative and finite"),
         ("--q", q, 0.0 < q <= 1.0, "lie in (0, 1]"),
         ("--delta", delta, 0.0 < delta < 1.0, "lie in (0, 1)"),
         ("--grid-step", step, 0.0 < step < math.inf, "be positive and finite"),
@@ -236,25 +240,22 @@ def _check_dp_flags(args: argparse.Namespace) -> None:
     ):
         if not ok:  # the comparisons are also false for NaN
             raise ParameterError(f"{flag} must {rule}; got {value}")
+    if METHODS[args.method].private and (eps is None) == (sigma is None):
+        raise ParameterError(f"--method {args.method} needs exactly one of --epsilon and --sigma")
 
 
 def _method_config(args: argparse.Namespace) -> MethodConfig:
     """The method the flags ask for, validated before any data is loaded.
 
-    A private method carries the requested budget (``--epsilon`` or
-    ``--sigma``); :func:`_resolve_dp` turns it into the release's noise scale.
+    A private method gets the noise of its release from :func:`_resolve_dp`.
     """
     if hasattr(args, "q"):  # the commands that take the DP flags
         _check_dp_flags(args)
-    dp = None
-    if METHODS[args.method].private:
-        dp = DpParams(args.delta, args.epsilon, args.sigma, seed=substream_seed(args.seed, 9))
     return MethodConfig(
         name=args.method,
         k=args.k,
         tau=args.tau,
         metric=DistanceMetric.parse(args.metric),
-        dp=dp,
         dp_subsampled=bool(getattr(args, "dp_subsampled", False)),
     )
 
@@ -297,22 +298,21 @@ def _resolve_dp(
     spec = METHODS[method.name]
     sensitivity = spec.sensitivity(method.k)
     q = args.q if spec.subsampled(method) else 1.0
-    dp = method.dp
-    if dp.sigma is not None:
+    if args.sigma is not None:
         calibration = account_sigma(
-            sensitivity, dp.sigma, q, n_val, dp.delta, args.grid_step, args.truncation_tail
+            sensitivity, args.sigma, q, n_val, args.delta, args.grid_step, args.truncation_tail
         )
     else:
         calibration = calibrate_sigma_for_budget(
-            sensitivity, dp.epsilon, dp.delta, q, n_val, args.grid_step, args.truncation_tail
+            sensitivity, args.epsilon, args.delta, q, n_val, args.grid_step, args.truncation_tail
         )
-    params = DpParams(delta=dp.delta, sigma=calibration.sigma, q=q, seed=dp.seed)
+    params = DpParams(args.delta, calibration.sigma, q, seed=substream_seed(args.seed, 9))
     return replace(method, dp=params), calibration
 
 
 def _cmd_dp_value(args: argparse.Namespace) -> int:
     method = _method_config(args)
-    if method.dp is None:
+    if not METHODS[method.name].private:
         private = " or ".join(name for name, spec in METHODS.items() if spec.private)
         raise ParameterError(f"dp-value requires a dp method ({private})")
     train, dval = _load_datasets(args)
@@ -320,7 +320,7 @@ def _cmd_dp_value(args: argparse.Namespace) -> int:
     result = compute_values(train, dval, method, threads=args.threads)
     report_path = args.report or (args.output + ".account.json")
     _write_json(report_path, _artifact(args, report=calibration.report()))
-    manifest = dict(result.method.dp or {})
+    manifest = dict(result.method.dp)
     manifest["requested_epsilon"] = args.epsilon
     manifest["composed_epsilon"] = calibration.epsilon
     manifest["accountant"] = str(report_path)
@@ -332,12 +332,14 @@ def _cmd_dp_value(args: argparse.Namespace) -> int:
 
 def _cmd_detect(args: argparse.Namespace) -> int:
     method = _method_config(args)
+    if not 0.0 < args.rate < 1.0:  # also false for NaN
+        raise ParameterError(f"--rate must lie in (0, 1); got {args.rate}")
     train, dval = _load_datasets(args)
     if args.corruption == "flip":
         corrupted, record = flip_labels(train, args.rate, substream_seed(args.seed, 11))
     else:
         corrupted, record = add_feature_noise(train, args.rate, substream_seed(args.seed, 12))
-    if method.dp is not None:
+    if METHODS[method.name].private:
         method, _ = _resolve_dp(args, method, dval.n)
     report = run_detection(corrupted, record, method, dval, seed=args.seed, threads=args.threads)
     print(f"detection wall time: {report.wall_time:.3f}s", file=sys.stderr)
@@ -354,10 +356,18 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
 def _cmd_attack(args: argparse.Namespace) -> int:
     method = _method_config(args)
-    spec = _parse_kv(args.synthetic, "--synthetic")
-    if "d" not in spec:
-        raise ParameterError("--synthetic requires d=<dimension>")
-    d = spec["d"]
+    cfg = MiaConfig(
+        shadow_count=args.shadow_count, shadow_size=args.shadow_size, seed=args.seed
+    )
+    for flag, count in (("--members", args.members), ("--nonmembers", args.nonmembers),
+                        ("--n-val", args.n_val)):
+        if count < 1:
+            raise ParameterError(f"{flag} must be at least 1; got {count}")
+    size = args.members if args.shadow_size is None else args.shadow_size
+    if not 1 <= size <= args.shadow_pool:
+        raise ParameterError(f"--shadow-size (default --members) must lie in [1, "
+                             f"--shadow-pool = {args.shadow_pool}]; got {size}")
+    d = _parse_kv(args.synthetic, "--synthetic", ("d",))["d"]
     total = args.members + args.nonmembers + args.shadow_pool + args.n_val
     pool = generate_gaussian_synthetic(total, d, substream_seed(args.seed, TAG_DATA, 0))
     members = pool.subset(range(0, args.members))
@@ -365,11 +375,8 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     lo = args.members + args.nonmembers
     shadow = pool.subset(range(lo, lo + args.shadow_pool))
     zvals = pool.subset(range(lo + args.shadow_pool, total))
-    if method.dp is not None:
+    if METHODS[method.name].private:
         method, _ = _resolve_dp(args, method, args.n_val)
-    cfg = MiaConfig(
-        shadow_count=args.shadow_count, shadow_size=args.shadow_size, seed=args.seed
-    )
     scorer = value_scorer(method)
     lams, labels = mia_lambdas(scorer, members, nonmembers, shadow, members, cfg, zvals)
     score = auroc(lams, labels)

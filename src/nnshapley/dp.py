@@ -7,12 +7,16 @@ is joint-DP and therefore collusion resistant. That post-processing (decrement,
 clamp, closed form) is :func:`nnshapley.tknn.tknn_value_table`, the kernel of
 the non-private release. The KNN baseline adds independent noise per owner
 per validation point instead.
+
+Both releases take their noise scale as given (:class:`DpParams`); finding
+the sigma that meets an (epsilon, delta) budget is the accountant's job,
+:func:`nnshapley.accountant.calibrate_sigma_for_budget`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -33,73 +37,34 @@ def knn_old_sensitivity(k: int) -> float:
     return 1.0 / (k * (k + 1))
 
 
-def calibrate_sigma(sensitivity: float, epsilon: float, delta: float) -> float:
-    """Per-mechanism Gaussian noise scale: sigma = sens * sqrt(ln(1.25/delta)) / eps.
-
-    This rule lacks the factor 2 under the root of the classical Gaussian
-    mechanism bound, sens * sqrt(2 ln(1.25/delta)) / eps (which itself holds
-    only for eps < 1), so it can give too little noise for the requested
-    (eps, delta): at eps = 1, delta = 1e-5 it returns sigma = 3.426, and
-    :func:`nnshapley.accountant.analytic_gaussian_epsilon` puts the true
-    epsilon of that sigma at 1.098. It is kept as it is because results made
-    with it must stay reproducible. For a guaranteed budget use
-    :func:`nnshapley.accountant.calibrate_sigma_for_budget`, which the CLI
-    always does.
-    """
-    if not 0.0 < sensitivity < math.inf:  # also false for NaN
-        raise ParameterError("sensitivity must be positive and finite")
-    if not 0.0 < epsilon < math.inf:
-        raise ParameterError("epsilon must be positive and finite")
-    if not 0.0 < delta < 1.0:
-        raise ParameterError("delta must lie in (0, 1)")
-    return sensitivity * math.sqrt(math.log(1.25 / delta)) / epsilon
-
-
 @dataclass(frozen=True)
 class DpParams:
-    """Privacy parameters for one release. Exactly one of epsilon/sigma is set;
-    the other is derived through the calibration rule at the point of use.
+    """The resolved noise of one release: Gaussian scale ``sigma`` per
+    mechanism, Poisson rate ``q``, the ``delta`` it is accounted at, and the
+    seed of its keyed streams.
 
-    That rule is :func:`calibrate_sigma`, which can give too little noise for
-    the requested epsilon (see there). To meet a budget, calibrate sigma with
-    :func:`nnshapley.accountant.calibrate_sigma_for_budget` and pass
-    ``sigma=``, as the CLI does.
+    To meet an (epsilon, delta) budget, take sigma from
+    :func:`nnshapley.accountant.calibrate_sigma_for_budget`, as the CLI
+    does; the release's manifest records that sigma.
     """
 
     delta: float
-    epsilon: float | None = None
-    sigma: float | None = None
+    sigma: float
     q: float = 1.0
     seed: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.delta < 1.0:
             raise ParameterError("delta must lie in (0, 1)")
-        if (self.epsilon is None) == (self.sigma is None):
-            raise ParameterError("provide exactly one of epsilon and sigma")
-        if self.epsilon is not None and not 0.0 < self.epsilon < math.inf:
-            raise ParameterError("epsilon must be positive and finite")
-        if self.sigma is not None and not 0.0 <= self.sigma < math.inf:
+        if not 0.0 <= self.sigma < math.inf:  # also false for NaN
             raise ParameterError("sigma must be nonnegative and finite")
         if not 0.0 < self.q <= 1.0:
             raise ParameterError("subsampling rate q must lie in (0, 1]")
         if self.seed < 0:
             raise ParameterError("seed must be nonnegative")
 
-    def resolve_sigma(self, sensitivity: float) -> float:
-        if self.sigma is not None:
-            return self.sigma
-        return calibrate_sigma(sensitivity, self.epsilon, self.delta)
-
-    def manifest(self, sensitivity: float, draws: int) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "sigma": self.resolve_sigma(sensitivity),
-            "q": self.q,
-            "seed": self.seed,
-            "draws": draws,
-        }
+    def manifest(self, draws: int) -> dict:
+        return {**asdict(self), "draws": draws}
 
 
 @dataclass(frozen=True)
@@ -176,7 +141,6 @@ def dp_tknn_shapley_all(
     and each row group's count triples are privatized one row at a time, in
     validation order, before its value tables are built.
     """
-    sigma = params.resolve_sigma(COUNTS_SENSITIVITY)
     released: list[PrivatizedCounts] = []
 
     def sample(lo: int, hi: int) -> np.ndarray:
@@ -186,7 +150,10 @@ def dp_tknn_shapley_all(
     def release(lo: int, *counts: np.ndarray) -> np.ndarray:
         rows = np.stack(counts, axis=1).tolist()
         gens = streams(params.seed, (TAG_NOISE,), lo, lo + len(rows))
-        privs = [privatize_counts(NeighborCounts(*row), sigma, gen) for row, gen in zip(rows, gens)]
+        privs = [
+            privatize_counts(NeighborCounts(*row), params.sigma, gen)
+            for row, gen in zip(rows, gens)
+        ]
         released.extend(privs)
         return np.array([p.counts.as_tuple() for p in privs], dtype=np.float64).T
 
@@ -198,7 +165,7 @@ def dp_tknn_shapley_all(
         metric=cfg.metric.value,
         tau=cfg.tau,
         weight="shapley",
-        dp=params.manifest(COUNTS_SENSITIVITY, draws=3 * dval.n),
+        dp=params.manifest(draws=3 * dval.n),
     )
     return ValuationResult(total, descriptor, validation_size=dval.n), released
 
@@ -225,8 +192,6 @@ def dp_knn_shapley_all(
         raise ParameterError("the DP baseline is defined for the old variant only")
     if not subsampled:
         params = replace(params, q=1.0)  # the rate this release runs at, for the manifest
-    sensitivity = knn_old_sensitivity(cfg.k)
-    sigma = params.resolve_sigma(sensitivity)
     n = ds.n
 
     def scores(lo: int, hi: int, norms: np.ndarray | None) -> np.ndarray:
@@ -245,9 +210,9 @@ def dp_knn_shapley_all(
                     kept = keep[order[row]]
                     sub = _old_sorted_batch(match[row, kept][None], cfg.k)[0]
                     chunk[row, i] = sub[np.count_nonzero(kept[: rank[row, i]])]
-        if sigma > 0.0:
+        if params.sigma > 0.0:
             for row, gen in zip(chunk, streams(params.seed, (TAG_NOISE,), lo, hi)):
-                row += gen.normal(0.0, sigma, n)
+                row += gen.normal(0.0, params.sigma, n)
         return chunk
 
     total = sum_over_validation(ds, dval, cfg.metric, validation_chunks(dval.n, n), scores)
@@ -257,7 +222,7 @@ def dp_knn_shapley_all(
         metric=cfg.metric.value,
         k=cfg.k,
         weight="shapley",
-        dp=params.manifest(sensitivity, draws=n * dval.n),
+        dp=params.manifest(draws=n * dval.n),
     )
     return ValuationResult(total, descriptor, validation_size=dval.n)
 

@@ -56,7 +56,8 @@ def auroc(scores: np.ndarray, positives: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class MethodConfig:
-    """Which valuation to run, with its hyperparameters and optional DP budget.
+    """Which valuation to run, with its hyperparameters and, for a private
+    method, the release's noise (``dp``, required by :func:`compute_values`).
 
     ``k`` and ``tau`` are validated whichever method reads them.
     """
@@ -71,8 +72,6 @@ class MethodConfig:
     def __post_init__(self) -> None:
         if self.name not in METHODS:
             raise ParameterError(f"unknown method {self.name!r}; expected one of {tuple(METHODS)}")
-        if METHODS[self.name].private and self.dp is None:
-            raise ParameterError(f"method {self.name!r} requires DP parameters")
         KnnConfig(self.k, self.metric)
         TknnConfig(self.tau, self.metric)
 
@@ -141,8 +140,15 @@ def compute_values(
     method: MethodConfig,
     threads: int = 1,
 ) -> ValuationResult:
-    """Run ``method`` over the validation set; private methods use one thread."""
-    return METHODS[method.name].run(train, dval, method, threads)
+    """Run ``method`` over the validation set.
+
+    A private method runs on one thread and needs ``method.dp``, the noise
+    of its release (a calibrated sigma; see :class:`nnshapley.dp.DpParams`).
+    """
+    spec = METHODS[method.name]
+    if spec.private and method.dp is None:
+        raise ParameterError(f"method {method.name!r} requires DP parameters")
+    return spec.run(train, dval, method, threads)
 
 
 @dataclass(frozen=True)
@@ -210,6 +216,9 @@ def bench_runtime(
     if repeats < 3:
         raise ParameterError("at least 3 repeats are required for a stable median")
     configs = [MethodConfig(name=name, k=k, tau=tau, metric=metric) for name in methods]
+    for method in configs:
+        if METHODS[method.name].private:
+            raise ParameterError(f"bench times non-private methods only; got {method.name!r}")
     rows: list[dict] = []
     for n in ns:
         train = generate_gaussian_synthetic(int(n), d, seed)

@@ -168,8 +168,9 @@ def mia_lambdas(
 def value_scorer(method: MethodConfig) -> ValueScorer:
     """Value of the target's copy under ``method``.
 
-    A private method draws its noise from the seed of each call, with the
-    rest of its DP parameters (a fixed sigma, q and delta) taken as given.
+    A private method draws its noise from the seed of each call; the rest of
+    ``method.dp`` (its calibrated sigma, q and delta) is the same for every
+    world.
     """
 
     def score(context: Dataset, target: LabeledPoint, zvals: Dataset, seed: int) -> float:

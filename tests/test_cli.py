@@ -6,6 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
+import nnshapley.dp
+from nnshapley.accountant import calibrate_sigma_for_budget
 from nnshapley.cli import main
 
 
@@ -332,12 +334,14 @@ _DP_FLAG_COMMANDS = {
 @pytest.mark.parametrize(
     "flag, value",
     [("--q", "0"), ("--q", "7"), ("--delta", "0"), ("--delta", "5"), ("--grid-step", "-1"),
-     ("--grid-step", "inf"), ("--truncation-tail", "0"), ("--truncation-tail", "1")],
+     ("--grid-step", "inf"), ("--truncation-tail", "0"), ("--truncation-tail", "1"),
+     ("--epsilon", "nan"), ("--epsilon", "-1"), ("--epsilon", "inf"), ("--sigma", "-1"),
+     ("--sigma", "inf")],
 )
 @pytest.mark.parametrize("command", list(_DP_FLAG_COMMANDS))
 def test_bad_dp_flag_exits_2_before_data(tmp_path, monkeypatch, capsys, command, flag, value):
-    # Every command that takes the accountant flags checks all of them, even
-    # where the method does not read them.
+    # Every command that takes the budget and accountant flags checks all of
+    # them, even where the method does not read them.
     def no_data(*args, **kwargs):
         raise AssertionError("data generated before the flags were validated")
 
@@ -386,6 +390,91 @@ def test_infinite_synthetic_size_is_a_usage_error(tmp_path, capsys, args):
     out = tmp_path / "x.json"
     assert run_cli(args + ["--output", str(out)]) == 2
     assert "bad --synthetic" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rate", ["2", "1", "0", "-0.5", "nan"])
+@pytest.mark.parametrize(
+    "data",
+    [["--synthetic", "n=50,d=3"], ["--train", "/nonexistent.csv", "--val", "/nonexistent.csv"]],
+    ids=["synthetic", "csv"],
+)
+def test_bad_rate_exits_2_before_data(tmp_path, monkeypatch, capsys, data, rate):
+    def no_data(*args, **kwargs):
+        raise AssertionError("data loaded before --rate was validated")
+
+    monkeypatch.setattr("nnshapley.cli.generate_gaussian_synthetic", no_data)
+    monkeypatch.setattr("nnshapley.cli.load_csv", no_data)
+    out = tmp_path / "x.json"
+    code = run_cli(["detect", *data, "--corruption", "flip", "--rate", rate,
+                    "--output", str(out)])
+    assert code == 2
+    assert "--rate" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        pytest.param(["--shadow-count", "1"], "two shadow datasets", id="shadow-count-1"),
+        pytest.param(["--members", "0"], "--members", id="members-0"),
+        pytest.param(["--nonmembers", "0"], "--nonmembers", id="nonmembers-0"),
+        pytest.param(["--n-val", "0"], "--n-val", id="n-val-0"),
+        pytest.param(["--shadow-size", "0"], "--shadow-size", id="shadow-size-0"),
+        # The pool holds 10 points; the shadow size defaults to --members.
+        pytest.param(["--shadow-size", "11"], "--shadow-size", id="shadow-size-11"),
+        pytest.param(["--members", "11"], "default --members", id="members-11"),
+    ],
+)
+def test_bad_attack_size_exits_2_before_data(tmp_path, monkeypatch, capsys, flags, message):
+    def no_data(*args, **kwargs):
+        raise AssertionError("data generated before the attack sizes were validated")
+
+    def no_calibration(*args, **kwargs):
+        raise AssertionError("sigma calibrated before the attack sizes were validated")
+
+    monkeypatch.setattr("nnshapley.cli.generate_gaussian_synthetic", no_data)
+    monkeypatch.setattr("nnshapley.cli.calibrate_sigma_for_budget", no_calibration)
+    out = tmp_path / "x.json"
+    args = _DP_FLAG_COMMANDS["attack-dp-tknn"] + flags + ["--output", str(out)]
+    assert run_cli(args) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, spec",
+    [
+        pytest.param(["value", "--synthetic", "n=50,d=3,x=4"], "n=50,d=3,x=4", id="value-x"),
+        pytest.param(["value", "--synthetic", "n=50,d=3", "--synthetic-val", "n=10,d=5"],
+                     "n=10,d=5", id="val-d"),
+        pytest.param(["attack", "--synthetic", "n=10,d=3"], "n=10,d=3", id="attack-n"),
+        pytest.param(["detect", "--synthetic", "n=50", "--corruption", "flip"], "n=50",
+                     id="detect-no-d"),
+    ],
+)
+def test_synthetic_keys_must_be_the_ones_read(tmp_path, monkeypatch, capsys, args, spec):
+    def no_data(*a, **k):
+        raise AssertionError("data generated from a spec with unread keys")
+
+    monkeypatch.setattr("nnshapley.cli.generate_gaussian_synthetic", no_data)
+    out = tmp_path / "x.json"
+    assert run_cli(args + ["--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "bad --synthetic" in err and repr(spec) in err
+    assert not out.exists()
+
+
+def test_bench_rejects_a_private_method_before_data(tmp_path, monkeypatch, capsys):
+    def no_data(*args, **kwargs):
+        raise AssertionError("data generated for a method bench cannot run")
+
+    monkeypatch.setattr("nnshapley.evaluation.generate_gaussian_synthetic", no_data)
+    out = tmp_path / "bench.csv"
+    code = run_cli(_BAD_FLAG_COMMANDS["bench"] + ["--methods", "tknn,dp-tknn",
+                                                  "--output", str(out)])
+    assert code == 2
+    assert "dp-tknn" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -454,15 +543,22 @@ def test_negative_seed_exits_2_before_data(tmp_path, monkeypatch, capsys, comman
 )
 def test_epsilon_is_met_through_the_accountant_not_calibrate_sigma(tmp_path, monkeypatch,
                                                                   args):
-    # dp.calibrate_sigma can give too little noise for the requested budget;
-    # every command calibrates sigma by inverting the accountant instead.
-    def refuse(*a, **k):
-        raise AssertionError("the CLI reached dp.calibrate_sigma")
+    # Every command turns --epsilon into sigma by inverting the accountant, so
+    # the composed epsilon never exceeds the request. The closed-form rule
+    # that gave too little noise (dp.calibrate_sigma) is gone.
+    assert not hasattr(nnshapley.dp, "calibrate_sigma")
+    calibrations = []
 
-    monkeypatch.setattr("nnshapley.dp.calibrate_sigma", refuse)
+    def spy(*a, **k):
+        calibrations.append(calibrate_sigma_for_budget(*a, **k))
+        return calibrations[-1]
+
+    monkeypatch.setattr("nnshapley.cli.calibrate_sigma_for_budget", spy)
     out = tmp_path / "x.json"
     assert run_cli(args + ["--epsilon", "2", "--output", str(out)]) == 0
     assert out.exists()
+    [calibration] = calibrations
+    assert calibration.report()["epsilon"] <= 2.0
 
 
 class TestBenchCommand:

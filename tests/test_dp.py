@@ -20,7 +20,6 @@ from nnshapley.dp import (
     COUNTS_SENSITIVITY,
     DpParams,
     _poisson_mask,
-    calibrate_sigma,
     count_triple_l2_change,
     dp_knn_shapley_all,
     dp_tknn_shapley_all,
@@ -42,53 +41,31 @@ GEOMETRIES = [(32, 4096), (1, 13), (3, 7), (16, 67)]
 
 
 class TestCalibration:
-    def test_frozen_value(self):
-        # sqrt(3) * sqrt(ln 12500) evaluates to about 5.3198
-        sigma = calibrate_sigma(math.sqrt(3), 1.0, 1e-4)
-        assert sigma == pytest.approx(5.3198, abs=2e-4)
-        assert sigma == math.sqrt(3) * math.sqrt(math.log(1.25 / 1e-4))
-
-    def test_inverse_proportionality(self):
-        assert calibrate_sigma(1.0, 2.0, 1e-4) == pytest.approx(
-            calibrate_sigma(1.0, 1.0, 1e-4) / 2.0
-        )
-
-    def test_domain_checks(self):
-        with pytest.raises(ParameterError):
-            calibrate_sigma(0.0, 1.0, 1e-4)
-        with pytest.raises(ParameterError):
-            calibrate_sigma(1.0, -1.0, 1e-4)
-        with pytest.raises(ParameterError):
-            calibrate_sigma(1.0, 1.0, 2.0)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_arguments_rejected(self, bad):
-        # An infinite epsilon would otherwise calibrate a noiseless release.
-        for args in ((1.0, bad, 1e-4), (bad, 1.0, 1e-4)):
-            with pytest.raises(ParameterError, match="positive and finite"):
-                calibrate_sigma(*args)
-        with pytest.raises(ParameterError):
-            calibrate_sigma(1.0, 1.0, bad)
-
     def test_knn_old_sensitivity_value(self):
         assert knn_old_sensitivity(5) == pytest.approx(1 / 30)
 
-    def test_params_exactly_one_driver(self):
-        with pytest.raises(ParameterError):
+    def test_params_require_a_calibrated_sigma(self):
+        # The noise of a release is a sigma; epsilon is the accountant's input.
+        with pytest.raises(TypeError):
             DpParams(delta=1e-4)
-        with pytest.raises(ParameterError):
-            DpParams(delta=1e-4, epsilon=1.0, sigma=2.0)
-        params = DpParams(delta=1e-4, epsilon=1.0)
-        assert params.resolve_sigma(math.sqrt(3)) == pytest.approx(5.3198, abs=2e-4)
+        with pytest.raises(TypeError):
+            DpParams(delta=1e-4, epsilon=1.0)
+        params = DpParams(1e-4, 2.0, 0.5, 7)
+        assert (params.delta, params.sigma, params.q, params.seed) == (1e-4, 2.0, 0.5, 7)
+        assert params.manifest(draws=6) == {
+            "delta": 1e-4, "sigma": 2.0, "q": 0.5, "seed": 7, "draws": 6,
+        }
 
     @pytest.mark.parametrize(
-        "budget", [dict(epsilon=math.nan), dict(epsilon=math.inf), dict(sigma=math.nan),
-                   dict(sigma=math.inf), dict(epsilon=0.0), dict(sigma=-1.0)],
+        "budget", [dict(sigma=math.nan), dict(sigma=math.inf), dict(sigma=-1.0),
+                   dict(sigma=1.0, delta=0.0), dict(sigma=1.0, delta=1.0),
+                   dict(sigma=1.0, delta=math.nan), dict(sigma=1.0, q=0.0),
+                   dict(sigma=1.0, q=1.5), dict(sigma=1.0, q=math.nan)],
         ids=lambda budget: ",".join(f"{k}={v}" for k, v in budget.items()),
     )
     def test_params_reject_non_finite_and_out_of_range(self, budget):
         with pytest.raises(ParameterError):
-            DpParams(delta=1e-4, **budget)
+            DpParams(**{"delta": 1e-4, **budget})
 
     def test_params_reject_a_negative_seed(self):
         with pytest.raises(ParameterError, match="seed"):
@@ -96,7 +73,7 @@ class TestCalibration:
 
     def test_params_allow_zero_sigma(self):
         # The degenerate release: no noise, scores equal the non-private ones.
-        assert DpParams(delta=1e-4, sigma=0.0).resolve_sigma(1.0) == 0.0
+        assert DpParams(delta=1e-4, sigma=0.0).sigma == 0.0
 
 
 class TestPrivatizeCounts:
@@ -315,7 +292,7 @@ def _per_owner_subsampled_reference(ds, cfg, dval, num_classes, params):
     sort, with the point's noise drawn one owner at a time."""
     if dval.n == 0:
         raise ParameterError("validation set must be nonempty")
-    sigma = params.resolve_sigma(knn_old_sensitivity(cfg.k))
+    sigma = params.sigma
     n = ds.n
     total = np.zeros(n)
     for v in range(dval.n):
@@ -439,7 +416,7 @@ class TestDpKnnBaseline:
             noise_keys = [key for key in keys if key[0] == TAG_NOISE]
             assert noise_keys == [(TAG_NOISE, v) for v in range(dval.n)]
             assert res.method.name == "dp-knn-shapley-old-subsampled"
-            assert res.method.dp == params.manifest(knn_old_sensitivity(3), draws=ds.n * dval.n)
+            assert res.method.dp == params.manifest(draws=ds.n * dval.n)
         plain = dp_knn_shapley_all(ds, cfg, dval, 2, replace(params, q=1.0))
         keys.clear()
         full = dp_knn_shapley_all(ds, cfg, dval, 2, replace(params, q=1.0), subsampled=True)

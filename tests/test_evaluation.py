@@ -92,8 +92,12 @@ class TestMethodConfig:
             MethodConfig(name="mystery")
 
     def test_dp_methods_require_params(self):
-        with pytest.raises(ParameterError):
-            MethodConfig(name="dp-tknn")
+        # The noise of a private release is checked where the method runs.
+        train = generate_gaussian_synthetic(10, 2, seed=1)
+        dval = generate_gaussian_synthetic(3, 2, seed=2)
+        for name in ("dp-tknn", "dp-knn"):
+            with pytest.raises(ParameterError, match="requires DP parameters"):
+                compute_values(train, dval, MethodConfig(name=name))
 
     @pytest.mark.parametrize("name", list(REGISTRY_CASES))
     def test_dispatch_matches_direct_calls(self, name):

@@ -1,0 +1,50 @@
+"""The package's public names and the README's library example."""
+
+import re
+import types
+from pathlib import Path
+
+import numpy as np
+
+import nnshapley
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# Removing a name from this set is an API change: CHANGES.md records it.
+PUBLIC_NAMES = {
+    "AccountantQuery", "AccountingError", "CorruptionRecord", "DataError", "Dataset",
+    "DetectionReport", "DistanceMetric", "DpParams", "EnumerationLimitError", "KnnConfig",
+    "LabeledPoint", "MethodConfig", "MethodDescriptor", "MiaConfig", "MiaVerdict",
+    "NeighborCounts", "ParameterError", "PrivacyLossDistribution", "PrivatizedCounts",
+    "SemivalueWeight", "TknnConfig", "UtilityKind", "ValuationResult", "add_feature_noise",
+    "aggregate_over_validation", "analytic_gaussian_epsilon", "auroc", "banzhaf_weight",
+    "bench_runtime", "calibrate_sigma_for_budget", "compose", "compute_values", "counts_full",
+    "counts_leave_one_out", "custom_weight", "distance", "dp_knn_shapley_all",
+    "dp_tknn_shapley_all", "epsilon_at_delta", "flip_labels", "gaussian_pld",
+    "generate_gaussian_synthetic", "knn_old_utility", "knn_shapley_all", "knn_shapley_single",
+    "knn_soft_utility", "load_csv", "mia_auroc", "mia_score", "poisson_subsample",
+    "privatize_counts", "run_detection", "semivalue_oracle", "shapley_oracle", "shapley_weight",
+    "subsampled_gaussian_pld", "tknn_consistency_check", "tknn_semivalue_generic",
+    "tknn_shapley_all", "tknn_shapley_from_counts", "tknn_shapley_single", "tknn_utility",
+    "utility",
+}
+
+
+def test_public_names_are_pinned():
+    public = {
+        name for name, value in vars(nnshapley).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == PUBLIC_NAMES
+
+
+def test_readme_library_example_runs():
+    library = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    code = re.search(r"```python\n(.*?)```", library, flags=re.S).group(1)
+    namespace: dict = {}
+    exec(compile(code, str(README), "exec"), namespace)
+    cal, private = namespace["cal"], namespace["private"]
+    assert cal.epsilon <= 1.0
+    assert private.method.dp["sigma"] == cal.sigma
+    assert np.all(np.isfinite(private.scores))
+    assert namespace["scores"].scores.shape == private.scores.shape
