@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import AccountingError, ParameterError
 
@@ -101,6 +100,9 @@ def gaussian_pld(
     mu = sensitivity / sigma
     if mu > _LOSS_RATIO_GUARD:
         raise AccountingError(f"sensitivity/sigma = {mu:.2f} is too large to discretize")
+    # Deferred, as in _convolve: importing scipy loads a second BLAS with its own threads.
+    from scipy.special import ndtr, ndtri
+
     z = -ndtri(truncation_tail)  # upper quantile of the standard normal
     mean = 0.5 * mu * mu
     lo = mean - z * mu
@@ -135,6 +137,8 @@ def subsampled_gaussian_pld(
     mu = sensitivity / sigma
     if mu > _LOSS_RATIO_GUARD:
         raise AccountingError(f"sensitivity/sigma = {mu:.2f} is too large to discretize")
+    from scipy.special import ndtr, ndtri  # deferred, as in gaussian_pld
+
     log1mq = math.log1p(-q)
     z = -ndtri(truncation_tail)
 
@@ -323,6 +327,7 @@ def analytic_gaussian_epsilon(sensitivity: float, sigma: float, delta: float) ->
     if not 0.0 < delta < 1.0:
         raise ParameterError("delta must lie in (0, 1)")
     from scipy.optimize import brentq  # deferred: only this reference needs scipy.optimize
+    from scipy.special import ndtr  # deferred, as in gaussian_pld
 
     mu = sensitivity / sigma
 

@@ -204,6 +204,18 @@ def _load_datasets(args: argparse.Namespace) -> tuple[Dataset, Dataset]:
         raise ParameterError(f"--threads must be at least 1; got {args.threads}")
     if (args.train is None) == (args.synthetic is None):
         raise ParameterError("provide exactly one of --train and --synthetic")
+    if args.synthetic is None:
+        source, unread = "--train", {"--synthetic-val": args.synthetic_val is not None}
+    else:
+        source, unread = "--synthetic", {
+            "--val": args.val is not None,
+            "--label-column": args.label_column != "-1",
+            "--no-l2-normalize": args.no_l2_normalize,
+            "--num-classes": args.num_classes is not None,
+        }
+    for flag, given in unread.items():
+        if given:  # a flag the run would not read
+            raise ParameterError(f"{flag} is not read with {source}")
     label_column: int | str
     try:
         label_column = int(args.label_column)

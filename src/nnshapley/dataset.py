@@ -179,13 +179,38 @@ def distances_to(metric: DistanceMetric, features: np.ndarray, x: np.ndarray) ->
     return distance_matrix(metric, features, np.asarray(x, dtype=np.float64)[None, :])[0]
 
 
-_NORM_BLOCK_ELEMS = 1 << 17  # bounds the squared-features temporary of a row-norm block
+# Bounds the squared-features temporary of a row-norm block and the
+# denominator of a cosine division block: at 1 << 17 entries (1 MiB) a
+# 32 x 4096 division took four times as long.
+_NORM_BLOCK_ELEMS = 1 << 16
 
 
 # The one budget of a row group's float temporaries, in entries: it sets the
 # height of the KNN scorers' row groups (see validation_chunks) and, within
 # any distance_matrix call, of the Euclidean (v, N, d) difference tensor.
 _SCORE_CHUNK_ELEMS = 1 << 20
+
+
+# Multiply-adds per block of the cosine product: OpenBLAS (interface/gemm.c)
+# runs a GEMM of at most GEMM_MULTITHREAD_THRESHOLD (4) x 65536 of them on
+# the calling thread.
+_GEMM_BLOCK = 1 << 18
+_GEMM_MIN_COLUMNS = 256  # rows per block shrink before columns fall below this
+_GEMM_COLUMN_ALIGN = 16  # a multiple of the column unroll of OpenBLAS's x86-64 dgemm kernels
+
+
+def _gemm_block(v: int, d: int) -> tuple[int, int]:
+    """Rows and columns of one block of the cosine product of V rows of dimension d.
+
+    All V rows while a block of them can still be ``_GEMM_MIN_COLUMNS`` wide,
+    and as many columns as the budget leaves, rounded down to a multiple of
+    ``_GEMM_COLUMN_ALIGN``. A block exceeds ``_GEMM_BLOCK`` only when one row
+    by ``_GEMM_COLUMN_ALIGN`` columns does (d above 2**14).
+    """
+    d = max(d, 1)
+    rows = min(v, max(1, _GEMM_BLOCK // (d * _GEMM_MIN_COLUMNS)))
+    cols = max(_GEMM_COLUMN_ALIGN, _GEMM_BLOCK // (rows * d))
+    return rows, cols - cols % _GEMM_COLUMN_ALIGN
 
 
 def row_norms(features: np.ndarray) -> np.ndarray:
@@ -222,9 +247,19 @@ def distance_matrix(
 ) -> np.ndarray:
     """All pairwise distances, one row per validation point: shape (V, N).
 
-    Identical rows of input produce bit-identical distance rows, which is what
-    preserves the index tie-break for exact duplicates. ``train_norms``, from
-    :func:`training_norms`, saves recomputing the training norms per call.
+    A Euclidean entry is computed from its own pair alone, so identical rows
+    of input give bit-identical distances wherever they sit. A cosine entry
+    comes from a BLAS product, whose rounding may depend on the entry's place
+    in the product, so exact duplicates can differ in the last bit; the KNN
+    index tie-break then sees a strict order. The cosine product is taken in
+    blocks of at most ``_GEMM_BLOCK`` multiply-adds, each written in place
+    into the output, which is then divided by the norms in groups of rows:
+    OpenBLAS runs a product that small on the calling thread, so its thread
+    pool never spins against the program's own workers, and no (V, N)
+    temporary exists besides the output. Column blocks start at multiples of
+    ``_GEMM_COLUMN_ALIGN``, so an entry keeps its place within the kernel's
+    column panels. ``train_norms``, from :func:`training_norms`, saves
+    recomputing the training norms per call.
     """
     val_features = np.asarray(val_features, dtype=np.float64)
     n = features.shape[0]
@@ -242,7 +277,22 @@ def distance_matrix(
             raise DataError("negative-cosine distance is undefined for zero vectors")
         if not np.isfinite(bound):
             raise DataError("negative-cosine distance overflows; L2-normalize the features")
-        return -(val_features @ features.T) / (vnorms[:, None] * norms[None, :])
+        out = np.empty((v, n))
+        rows, cols = _gemm_block(v, features.shape[1])
+        for r0 in range(0, v, rows):
+            for c0 in range(0, n, cols):
+                block = out[r0 : r0 + rows, c0 : c0 + cols]
+                np.matmul(val_features[r0 : r0 + rows], features[c0 : c0 + cols].T, out=block)
+        # -(dot) / (a * b) == dot / ((-a) * b) bit for bit: negation is exact.
+        # Whole rows after the products: dividing each product block instead
+        # took about 1.6 times as long.
+        neg_vnorms, step = -vnorms, max(1, _NORM_BLOCK_ELEMS // n)
+        buffer = np.empty((min(step, v), n))
+        for r0 in range(0, v, step):
+            part = out[r0 : r0 + step]
+            den = np.multiply(neg_vnorms[r0 : r0 + step, None], norms, out=buffer[: len(part)])
+            np.divide(part, den, out=part)
+        return out
     # Euclidean by direct differences, in chunks of rows whose (v, N, d)
     # tensor holds at most _SCORE_CHUNK_ELEMS entries (one row at a time once
     # N * d exceeds it). Exact duplicates subtract to exactly zero, unlike the

@@ -143,11 +143,14 @@ def compute_values(
     """Run ``method`` over the validation set.
 
     A private method runs on one thread and needs ``method.dp``, the noise
-    of its release (a calibrated sigma; see :class:`nnshapley.dp.DpParams`).
+    of its release (a calibrated sigma; see :class:`nnshapley.dp.DpParams`);
+    any other method rejects a ``dp``, which it would not apply.
     """
     spec = METHODS[method.name]
     if spec.private and method.dp is None:
         raise ParameterError(f"method {method.name!r} requires DP parameters")
+    if not spec.private and method.dp is not None:
+        raise ParameterError(f"method {method.name!r} is not private and takes no DP parameters")
     return spec.run(train, dval, method, threads)
 
 

@@ -53,7 +53,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import digamma
 
 from .dataset import (
     Dataset,
@@ -149,6 +148,9 @@ def a2_term(c, c_x):
     """
     if np.any((c_x < 1) | (c_x > c + 1)):
         raise ParameterError("a2_term needs 1 <= c_x <= c + 1")
+    # Deferred so that the KNN paths load no scipy, whose second BLAS starts its own threads.
+    from scipy.special import digamma
+
     return digamma(c_x + 1.0) + np.euler_gamma - 1.0
 
 

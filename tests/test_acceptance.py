@@ -285,10 +285,11 @@ def test_criterion_7_runtime_scaling():
         [100_000, 1_000_000], d=10, n_val=100, methods=("tknn", "knn"), repeats=3, seed=0
     )
     t = {(r["n"], r["method"]): r["median_seconds"] for r in rows}
-    assert t[(100_000, "tknn")] <= t[(100_000, "knn")]
-    assert t[(1_000_000, "tknn")] <= t[(1_000_000, "knn")]
     ratio = t[(1_000_000, "tknn")] / t[(100_000, "tknn")]
-    assert 8.0 <= ratio <= 13.0
+    times = f"median seconds {t}; tknn 1e6/1e5 ratio {ratio:.2f}"
+    assert t[(100_000, "tknn")] <= t[(100_000, "knn")], times
+    assert t[(1_000_000, "tknn")] <= t[(1_000_000, "knn")], times
+    assert 8.0 <= ratio <= 13.0, times
     speedup = 1.0 - t[(1_000_000, "tknn")] / t[(1_000_000, "knn")]
     report(7, f"N=1e6: tknn {t[(1_000_000, 'tknn')]:.1f}s <= knn "
               f"{t[(1_000_000, 'knn')]:.1f}s ({100 * speedup:.0f}% faster, not gated); "

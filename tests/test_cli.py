@@ -465,6 +465,36 @@ def test_synthetic_keys_must_be_the_ones_read(tmp_path, monkeypatch, capsys, arg
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "data, flag",
+    [
+        pytest.param(["--synthetic", "n=50,d=3", "--val", "/nonexistent.csv"], "--val", id="val"),
+        pytest.param(["--synthetic", "n=50,d=3", "--num-classes", "7"], "--num-classes",
+                     id="num-classes"),
+        pytest.param(["--synthetic", "n=50,d=3", "--label-column", "0"], "--label-column",
+                     id="label-column"),
+        pytest.param(["--synthetic", "n=50,d=3", "--no-l2-normalize"], "--no-l2-normalize",
+                     id="no-l2-normalize"),
+        pytest.param(["--train", "/nonexistent.csv", "--val", "/nonexistent.csv",
+                      "--synthetic-val", "n=4"], "--synthetic-val", id="synthetic-val"),
+    ],
+)
+@pytest.mark.parametrize("command", ["value", "detect"])
+def test_data_flags_the_source_does_not_read_exit_2_before_data(
+    tmp_path, monkeypatch, capsys, data, flag, command
+):
+    def no_data(*args, **kwargs):
+        raise AssertionError("data loaded although a data flag goes unread")
+
+    monkeypatch.setattr("nnshapley.cli.generate_gaussian_synthetic", no_data)
+    monkeypatch.setattr("nnshapley.cli.load_csv", no_data)
+    out = tmp_path / "x.json"
+    extra = ["--corruption", "flip"] if command == "detect" else []
+    assert run_cli([command, *data, *extra, "--method", "knn", "--output", str(out)]) == 2
+    assert f"{flag} is not read" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bench_rejects_a_private_method_before_data(tmp_path, monkeypatch, capsys):
     def no_data(*args, **kwargs):
         raise AssertionError("data generated for a method bench cannot run")
@@ -620,38 +650,54 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert out.exists()
 
+    # Importing any of scipy loads scipy's own OpenBLAS, a second thread pool.
+    UNUSED = ("scipy", "scipy.special", "scipy.fft", "scipy.signal", "scipy.optimize",
+              "scipy.stats")
+
     def test_import_leaves_accountant_modules_unloaded(self):
         code = (
-            "import sys, nnshapley.cli; "
-            "print(sorted(m for m in ('scipy.signal', 'scipy.optimize', 'scipy.stats') "
-            "if m in sys.modules))"
+            "import sys\n"
+            "for module in ('nnshapley', 'nnshapley.cli'):\n"
+            "    __import__(module)\n"
+            f"    print(module, sorted(m for m in {self.UNUSED} if m in sys.modules))"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert proc.stdout.splitlines() == ["nnshapley []", "nnshapley.cli []"]
 
     def test_attack_and_dp_runs_leave_stats_signal_optimize_unloaded(self, tmp_path):
+        # The knn runs load no scipy; the dp-tknn runs then load only what
+        # they use.
         attack = ["attack", "--synthetic", "d=3", "--members", "4", "--nonmembers", "4",
                   "--shadow-pool", "10", "--shadow-count", "2", "--n-val", "3"]
-        runs = [
+        knn_runs = [
             attack + ["--method", "knn", "--k", "1"],
+            ["value", "--synthetic", "n=50,d=3", "--synthetic-val", "n=4", "--method", "knn"],
+        ]
+        dp_runs = [
             attack + ["--method", "dp-tknn", "--epsilon", "1", "--q", "0.5"],
             ["dp-value", "--synthetic", "n=50,d=3", "--synthetic-val", "n=4",
              "--method", "dp-tknn", "--epsilon", "1", "--q", "0.5"],
         ]
-        runs = [args + ["--output", str(tmp_path / f"{i}.json")] for i, args in enumerate(runs)]
+        runs = [
+            [args + ["--output", str(tmp_path / f"{name}{i}.json")] for i, args in enumerate(group)]
+            for name, group in (("knn", knn_runs), ("dp", dp_runs))
+        ]
         code = (
-            "import json, sys; from nnshapley.cli import main; "
-            "codes = [main(args) for args in json.loads(sys.argv[1])]; "
-            "print(codes, sorted(m for m in ('scipy.signal', 'scipy.optimize', 'scipy.stats') "
-            "if m in sys.modules))"
+            "import json, sys; from nnshapley.cli import main\n"
+            "for runs in json.loads(sys.argv[1]):\n"
+            "    codes = [main(args) for args in runs]\n"
+            f"    print(codes, sorted(m for m in {self.UNUSED} if m in sys.modules))"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code, json.dumps(runs)], capture_output=True, text=True
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[0, 0, 0] []"
-        report = json.loads((tmp_path / "2.json.account.json").read_text())["report"]
+        assert proc.stdout.splitlines() == [
+            "[0, 0] []",
+            "[0, 0] ['scipy', 'scipy.fft', 'scipy.special']",
+        ]
+        report = json.loads((tmp_path / "dp1.json.account.json").read_text())["report"]
         assert report["mechanisms"] == 4
 
     def test_usage_error_is_exit_2(self):

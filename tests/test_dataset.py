@@ -46,7 +46,8 @@ class TestLoadCsv:
 
     def test_unused_class_convention(self, tmp_path):
         path = write(tmp_path, "a.csv", "1,0\n2,2\n")
-        ds = load_csv(path)
+        with pytest.warns(DataWarning, match="makes 3 classes"):
+            ds = load_csv(path)
         assert ds.num_classes == 3  # label 1 unused
 
     def test_stray_label_warns(self, tmp_path):
@@ -286,6 +287,48 @@ class TestDistance:
             got = distance_matrix(DistanceMetric.EUCLIDEAN, feats, vals)
             assert got.tobytes() == whole.tobytes(), rows
         assert np.allclose(whole, expected, rtol=1e-12) and whole[4, 7] == 0.0
+
+    @pytest.mark.parametrize("v", [1, 10, 32, 200])
+    def test_cosine_products_stay_under_the_threading_cutoff(self, rng, monkeypatch, v):
+        # OpenBLAS runs a GEMM of at most 4 * 65536 multiply-adds on the
+        # calling thread; the blocks must tile the whole (V, N) product.
+        matmul, sizes = np.matmul, []
+
+        def spy(a, b, *args, **kwargs):
+            sizes.append(a.shape[0] * b.shape[1] * a.shape[1])
+            return matmul(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        for n in (1, 1200, 20011, 100_000):
+            feats = rng.standard_normal((n, 10))
+            vals = rng.standard_normal((v, 10))
+            sizes.clear()
+            got = distance_matrix(DistanceMetric.NEGATIVE_COSINE, feats, vals)
+            assert max(sizes) <= 1 << 18 and sum(sizes) == v * n * 10, (n, max(sizes))
+            expected = -(vals @ feats.T) / np.outer(
+                np.linalg.norm(vals, axis=1), np.linalg.norm(feats, axis=1)
+            )
+            assert np.allclose(got, expected, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("v, n", [(200, 5000), (33, 20011), (7, 100_000)])
+    def test_cosine_blocks_equal_the_blocks_computed_one_at_a_time(self, rng, v, n):
+        # Each block is written in place into the (V, N) output; a block alone
+        # is one product, so the two must agree bit for bit.
+        feats = rng.standard_normal((n, 10))
+        vals = rng.standard_normal((v, 10))
+        norms = training_norms(DistanceMetric.NEGATIVE_COSINE, feats)
+        whole = distance_matrix(DistanceMetric.NEGATIVE_COSINE, feats, vals, norms)
+        rows, cols = dataset_module._gemm_block(v, 10)
+        assert rows * cols * 10 <= 1 << 18 and cols < n and cols % 16 == 0
+        for r0 in range(0, v, rows):
+            for c0 in range(0, n, cols):
+                block = distance_matrix(
+                    DistanceMetric.NEGATIVE_COSINE,
+                    feats[c0 : c0 + cols],
+                    vals[r0 : r0 + rows],
+                    norms[c0 : c0 + cols],
+                )
+                assert block.tobytes() == whole[r0 : r0 + rows, c0 : c0 + cols].tobytes()
 
     def test_duplicate_rows_get_identical_distances(self, rng):
         feats = rng.standard_normal((10, 4))

@@ -224,27 +224,30 @@ class TestDpTknn:
         self, monkeypatch, no_validation_chunks, q
     ):
         # Duplicate validation rows sit in different row groups; at sigma = 0
-        # and q = 1 their released triples must be equal.
-        ds = generate_gaussian_synthetic(202, 5, seed=21)
-        base = generate_gaussian_synthetic(9, 5, seed=22)
-        order = np.r_[np.arange(9), np.arange(9)[::-1], [0, 4, 4, 8, 2]]
-        dval = base.subset(order)
-        cfg = TknnConfig(-0.2, NEGCOS)
-        runs = {}
-        for sigma in (0.0, 0.7):
-            params = DpParams(delta=1e-4, sigma=sigma, q=q, seed=5)
-            for rows, cols in GEOMETRIES:
-                monkeypatch.setattr(tknn, "_ROW_GROUP", rows)
-                monkeypatch.setattr(tknn, "_COLUMN_TILE", cols)
-                res, audit = dp_tknn_shapley_all(ds, cfg, dval, 2, params)
-                triples = [(p.counts.as_tuple(), p.raw_noise_draws) for p in audit]
-                first = runs.setdefault(sigma, (res.scores, triples))
-                assert np.array_equal(res.scores, first[0]) and triples == first[1]
-        if q == 1.0:
-            exact = [counts for counts, _ in runs[0.0][1]]
-            for v, w in itertools.combinations(range(dval.n), 2):
-                if order[v] == order[w]:
-                    assert exact[v] == exact[w]
+        # and q = 1 their released triples must be equal. At N = 1200, d = 10
+        # and the (32, 4096) geometry, the one row group's cosine product
+        # spans two blocks of the distance GEMM.
+        for n, d in ((202, 5), (1200, 10)):
+            ds = generate_gaussian_synthetic(n, d, seed=21)
+            base = generate_gaussian_synthetic(9, d, seed=22)
+            order = np.r_[np.arange(9), np.arange(9)[::-1], [0, 4, 4, 8, 2]]
+            dval = base.subset(order)
+            cfg = TknnConfig(-0.2, NEGCOS)
+            runs = {}
+            for sigma in (0.0, 0.7):
+                params = DpParams(delta=1e-4, sigma=sigma, q=q, seed=5)
+                for rows, cols in GEOMETRIES:
+                    monkeypatch.setattr(tknn, "_ROW_GROUP", rows)
+                    monkeypatch.setattr(tknn, "_COLUMN_TILE", cols)
+                    res, audit = dp_tknn_shapley_all(ds, cfg, dval, 2, params)
+                    triples = [(p.counts.as_tuple(), p.raw_noise_draws) for p in audit]
+                    first = runs.setdefault(sigma, (res.scores, triples))
+                    assert np.array_equal(res.scores, first[0]) and triples == first[1]
+            if q == 1.0:
+                exact = [counts for counts, _ in runs[0.0][1]]
+                for v, w in itertools.combinations(range(dval.n), 2):
+                    if order[v] == order[w]:
+                        assert exact[v] == exact[w]
 
     def test_seeded_determinism_with_subsampling(self):
         ds = generate_gaussian_synthetic(120, 4, seed=7)

@@ -195,10 +195,10 @@ class TestPermutationInvariance:
             assert np.allclose(moved, base, rtol=0, atol=1e-12)
 
 
-def tied_instance(rng, n_base=40, copies=(2, 3, 5), d=3, c=3):
+def tied_instance(rng, n_base=40, copies=(2, 3, 5), d=3, c=3, half=9):
     """Training rows with exact copies that carry different labels, plus a
-    validation set that contains copies of training rows (Euclidean distance
-    exactly 0.0 to each copy) and fresh points."""
+    validation set of ``2 * half`` rows: copies of training rows (Euclidean
+    distance exactly 0.0 to each copy) and fresh points."""
     base = rng.standard_normal((n_base, d))
     rows = [base]
     for i, m in enumerate(copies):
@@ -206,7 +206,7 @@ def tied_instance(rng, n_base=40, copies=(2, 3, 5), d=3, c=3):
     feats = np.vstack(rows)[rng.permutation(n_base + sum(copies))]
     labels = rng.integers(0, c, feats.shape[0])
     ds = Dataset(feats, labels, c)
-    val_feats = np.vstack([feats[rng.integers(0, ds.n, 9)], rng.standard_normal((9, d))])
+    val_feats = np.vstack([feats[rng.integers(0, ds.n, half)], rng.standard_normal((half, d))])
     dval = Dataset(val_feats, rng.integers(0, c, val_feats.shape[0]), c)
     return ds, dval
 
@@ -290,8 +290,14 @@ class TestInvariance:
                 assert row[0].tobytes() == chunk[v].tobytes()
 
 
-# One-row groups, ragged groups (18 = 6 * 3 = 2 * 7 + 4) and one group.
+# One-row groups, ragged groups (18 = 6 * 3 = 2 * 7 + 4, 24 = 8 * 3 = 3 * 7 + 3)
+# and one group.
 CHUNK_ROWS = [1, 3, 7, None]
+
+# The default tied instance, and one of N = 1200, d = 10 and 24 validation
+# rows, whose one-group cosine product spans two blocks (a 7-row group's
+# product is one block).
+TIED_SHAPES = [{}, {"n_base": 1190, "d": 10, "half": 12}]
 
 
 class TestChunkInvariance:
@@ -302,17 +308,20 @@ class TestChunkInvariance:
     ):
         # Every column is ((0 + s_0) + s_1) + ... in validation order. Chunk
         # sums added to the total would show in the bits from 3-row groups on.
-        ds, dval = tied_instance(rng)
-        cfg = KnnConfig(3, metric, variant)
-        reference = None
-        for rows in CHUNK_ROWS:
-            set_chunk_rows(monkeypatch, ds, rows)
-            expected = stable_reference(ds, cfg, dval, 3)
-            reference = expected if reference is None else reference
-            assert expected.tobytes() == reference.tobytes(), rows
-            for threads in (1, 2, 3):
-                got = knn_shapley_all(ds, cfg, dval, 3, threads=threads).scores
-                assert got.tobytes() == expected.tobytes(), (rows, threads)
+        for shape in TIED_SHAPES:
+            ds, dval = tied_instance(rng, **shape)
+            if shape:
+                assert dataset_module._gemm_block(dval.n, ds.dimension)[1] < ds.n
+            cfg = KnnConfig(3, metric, variant)
+            reference = None
+            for rows in CHUNK_ROWS:
+                set_chunk_rows(monkeypatch, ds, rows)
+                expected = stable_reference(ds, cfg, dval, 3)
+                reference = expected if reference is None else reference
+                assert expected.tobytes() == reference.tobytes(), (ds.n, rows)
+                for threads in (1, 2, 3):
+                    got = knn_shapley_all(ds, cfg, dval, 3, threads=threads).scores
+                    assert got.tobytes() == expected.tobytes(), (ds.n, rows, threads)
 
 
 def test_peak_memory_does_not_grow_with_the_validation_set():

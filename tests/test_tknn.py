@@ -201,15 +201,15 @@ def set_geometry(monkeypatch, rows, cols):
     monkeypatch.setattr(tknn, "_COLUMN_TILE", cols)
 
 
-def duplicated_instance(metric):
-    """202 training points with copies; 13 validation points repeated to 37 rows,
-    so copies sit in different row groups and at different rows of a group."""
-    ds = generate_gaussian_synthetic(200, 5, seed=21)
-    ds = ds.subset(np.r_[np.arange(200), 3, 150])
-    base = generate_gaussian_synthetic(13, 5, seed=22)
+def duplicated_instance(metric, n=200, d=5):
+    """n + 2 training points with copies; 13 validation points repeated to 37
+    rows, so copies sit in different row groups and at different rows of a group."""
+    ds = generate_gaussian_synthetic(n, d, seed=21)
+    ds = ds.subset(np.r_[np.arange(n), 3, 150])
+    base = generate_gaussian_synthetic(13, d, seed=22)
     base = Dataset(base.features, np.arange(13) % 3, 3)
     order = np.r_[np.arange(13), np.arange(13)[::-1], [0, 5, 5, 12, 3, 3, 7, 0, 9, 1, 1]]
-    tau = -0.2 if metric is NEGCOS else 2.8
+    tau = -0.2 if metric is NEGCOS else 2.8 * math.sqrt(d / 5)
     return ds, base, order, TknnConfig(tau, metric)
 
 
@@ -234,14 +234,17 @@ class TestTiledPass:
     def test_scores_do_not_depend_on_geometry_chunking_or_threads(
         self, monkeypatch, no_validation_chunks, metric
     ):
-        ds, base, order, cfg = duplicated_instance(metric)
-        dval = base.subset(order)
-        reference = tknn_shapley_all(ds, cfg, dval, 3).scores
-        for rows, cols in GEOMETRIES:
-            set_geometry(monkeypatch, rows, cols)
-            for threads in (1, 2, 3):
-                scores = tknn_shapley_all(ds, cfg, dval, 3, threads).scores
-                assert np.array_equal(scores, reference), (rows, cols, threads)
+        # At N = 1200, d = 10 and the (32, 4096) geometry, a row group's
+        # cosine product spans two blocks of the distance GEMM.
+        for shape in ((200, 5), (1198, 10)):
+            ds, base, order, cfg = duplicated_instance(metric, *shape)
+            dval = base.subset(order)
+            reference = tknn_shapley_all(ds, cfg, dval, 3).scores
+            for rows, cols in GEOMETRIES:
+                set_geometry(monkeypatch, rows, cols)
+                for threads in (1, 2, 3):
+                    scores = tknn_shapley_all(ds, cfg, dval, 3, threads).scores
+                    assert np.array_equal(scores, reference), (shape, rows, cols, threads)
 
     def test_duplicate_validation_rows_contribute_identically(self, monkeypatch, metric):
         # Every copy of a validation point adds exactly the point's own score row.
