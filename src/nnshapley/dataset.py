@@ -179,10 +179,7 @@ def distances_to(metric: DistanceMetric, features: np.ndarray, x: np.ndarray) ->
     return distance_matrix(metric, features, np.asarray(x, dtype=np.float64)[None, :])[0]
 
 
-# Bounds the squared-features temporary of a row-norm block and the
-# denominator of a cosine division block: at 1 << 17 entries (1 MiB) a
-# 32 x 4096 division took four times as long.
-_NORM_BLOCK_ELEMS = 1 << 16
+_NORM_BLOCK_ELEMS = 1 << 17  # bounds the squared-features temporary of a row-norm block
 
 
 # The one budget of a row group's float temporaries, in entries: it sets the
@@ -195,22 +192,37 @@ _SCORE_CHUNK_ELEMS = 1 << 20
 # runs a GEMM of at most GEMM_MULTITHREAD_THRESHOLD (4) x 65536 of them on
 # the calling thread.
 _GEMM_BLOCK = 1 << 18
+_GEMM_MAX_DIMENSION = 32  # a product of larger d is one block, which OpenBLAS may thread
 _GEMM_MIN_COLUMNS = 256  # rows per block shrink before columns fall below this
-_GEMM_COLUMN_ALIGN = 16  # a multiple of the column unroll of OpenBLAS's x86-64 dgemm kernels
+_GEMM_ALIGN = 16  # a multiple of the row and column unrolls of OpenBLAS's x86-64 dgemm kernels
+
+# Entries of the denominator of one group of rows of the cosine division: at
+# 1 << 17 (1 MiB) a 32 x 4096 division took four times as long. One row per
+# group took 15 times as long at mia-audit's 64 x 26.
+_DIVIDE_BLOCK_ELEMS = 1 << 16
 
 
-def _gemm_block(v: int, d: int) -> tuple[int, int]:
-    """Rows and columns of one block of the cosine product of V rows of dimension d.
+def _gemm_block(v: int, n: int, d: int) -> tuple[int, int]:
+    """Rows and columns of one block of the cosine product of a (V, d) by an (N, d) matrix.
 
-    All V rows while a block of them can still be ``_GEMM_MIN_COLUMNS`` wide,
-    and as many columns as the budget leaves, rounded down to a multiple of
-    ``_GEMM_COLUMN_ALIGN``. A block exceeds ``_GEMM_BLOCK`` only when one row
-    by ``_GEMM_COLUMN_ALIGN`` columns does (d above 2**14).
+    Up to d = ``_GEMM_MAX_DIMENSION`` a block holds all V rows while they fit
+    in the budget with ``_GEMM_MIN_COLUMNS`` columns, else the most that do,
+    and as many columns as the budget leaves; a split count is rounded down
+    to a multiple of ``_GEMM_ALIGN``, and a block never exceeds
+    ``_GEMM_BLOCK``. There the product is bound by writing its output, and
+    OpenBLAS's second thread mostly spins. Beyond that d the product is one
+    block, which OpenBLAS may split over its pool, whose threads then do real
+    work: at N = 1e5, V = 200 and one thread, blocks made a KNN or TKNN
+    valuation up to 1.8 times slower at d = 48 and 64, and up to 4 times at
+    d = 512 with one or two rows per block, while up to d = 32 they were
+    about as fast and used half the CPU time.
     """
-    d = max(d, 1)
-    rows = min(v, max(1, _GEMM_BLOCK // (d * _GEMM_MIN_COLUMNS)))
-    cols = max(_GEMM_COLUMN_ALIGN, _GEMM_BLOCK // (rows * d))
-    return rows, cols - cols % _GEMM_COLUMN_ALIGN
+    if d > _GEMM_MAX_DIMENSION:
+        return v, n
+    rows = _GEMM_BLOCK // (d * _GEMM_MIN_COLUMNS)
+    rows = v if rows >= v else rows - rows % _GEMM_ALIGN
+    cols = _GEMM_BLOCK // (rows * d)
+    return rows, cols - cols % _GEMM_ALIGN
 
 
 def row_norms(features: np.ndarray) -> np.ndarray:
@@ -252,14 +264,13 @@ def distance_matrix(
     comes from a BLAS product, whose rounding may depend on the entry's place
     in the product, so exact duplicates can differ in the last bit; the KNN
     index tie-break then sees a strict order. The cosine product is taken in
-    blocks of at most ``_GEMM_BLOCK`` multiply-adds, each written in place
-    into the output, which is then divided by the norms in groups of rows:
-    OpenBLAS runs a product that small on the calling thread, so its thread
-    pool never spins against the program's own workers, and no (V, N)
-    temporary exists besides the output. Column blocks start at multiples of
-    ``_GEMM_COLUMN_ALIGN``, so an entry keeps its place within the kernel's
-    column panels. ``train_norms``, from :func:`training_norms`, saves
-    recomputing the training norms per call.
+    the blocks of :func:`_gemm_block`, each written in place into the output,
+    which is then divided by the norms in groups of rows, so no (V, N)
+    temporary exists besides the output. Up to d = 32 each block is at most
+    ``_GEMM_BLOCK`` multiply-adds, which OpenBLAS runs on the calling thread,
+    so its thread pool never spins against the program's own workers.
+    ``train_norms``, from :func:`training_norms`, saves recomputing the
+    training norms per call.
     """
     val_features = np.asarray(val_features, dtype=np.float64)
     n = features.shape[0]
@@ -278,7 +289,7 @@ def distance_matrix(
         if not np.isfinite(bound):
             raise DataError("negative-cosine distance overflows; L2-normalize the features")
         out = np.empty((v, n))
-        rows, cols = _gemm_block(v, features.shape[1])
+        rows, cols = _gemm_block(v, n, features.shape[1])
         for r0 in range(0, v, rows):
             for c0 in range(0, n, cols):
                 block = out[r0 : r0 + rows, c0 : c0 + cols]
@@ -286,7 +297,7 @@ def distance_matrix(
         # -(dot) / (a * b) == dot / ((-a) * b) bit for bit: negation is exact.
         # Whole rows after the products: dividing each product block instead
         # took about 1.6 times as long.
-        neg_vnorms, step = -vnorms, max(1, _NORM_BLOCK_ELEMS // n)
+        neg_vnorms, step = -vnorms, max(1, _DIVIDE_BLOCK_ELEMS // n)
         buffer = np.empty((min(step, v), n))
         for r0 in range(0, v, step):
             part = out[r0 : r0 + step]

@@ -310,16 +310,44 @@ class TestDistance:
             )
             assert np.allclose(got, expected, rtol=0, atol=1e-15)
 
-    @pytest.mark.parametrize("v, n", [(200, 5000), (33, 20011), (7, 100_000)])
+    def test_cosine_product_above_the_dimension_cutoff_is_one_product(self, rng, monkeypatch):
+        # From d = 33 on, OpenBLAS's threads do real work: one product, as
+        # before the blocks.
+        matmul, shapes = np.matmul, []
+
+        def spy(a, b, *args, **kwargs):
+            shapes.append((a.shape, b.shape))
+            return matmul(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        for d, blocks in ((32, 7), (33, 1), (512, 1)):  # 816-column blocks at d = 32
+            shapes.clear()
+            distance_matrix(
+                DistanceMetric.NEGATIVE_COSINE,
+                rng.standard_normal((5000, d)),
+                rng.standard_normal((10, d)),
+            )
+            assert len(shapes) == blocks, d
+
+    @pytest.mark.parametrize(
+        "v, n", [(200, 5000), (33, 20011), (7, 100_000), (200, 4096), (129, 4096)]
+    )
     def test_cosine_blocks_equal_the_blocks_computed_one_at_a_time(self, rng, v, n):
         # Each block is written in place into the (V, N) output; a block alone
-        # is one product, so the two must agree bit for bit.
+        # is one product, so the two must agree bit for bit. Where N is a
+        # multiple of 16, so are all the splits and no column falls in an
+        # edge panel: there the blocks also equal the one product, rows split
+        # into 96-row blocks included.
         feats = rng.standard_normal((n, 10))
         vals = rng.standard_normal((v, 10))
         norms = training_norms(DistanceMetric.NEGATIVE_COSINE, feats)
         whole = distance_matrix(DistanceMetric.NEGATIVE_COSINE, feats, vals, norms)
-        rows, cols = dataset_module._gemm_block(v, 10)
+        rows, cols = dataset_module._gemm_block(v, n, 10)
         assert rows * cols * 10 <= 1 << 18 and cols < n and cols % 16 == 0
+        assert rows == v or rows % 16 == 0
+        if n % 16 == 0:
+            one = -(vals @ feats.T) / np.outer(np.linalg.norm(vals, axis=1), norms)
+            assert whole.tobytes() == one.tobytes()
         for r0 in range(0, v, rows):
             for c0 in range(0, n, cols):
                 block = distance_matrix(

@@ -294,10 +294,11 @@ class TestInvariance:
 # and one group.
 CHUNK_ROWS = [1, 3, 7, None]
 
-# The default tied instance, and one of N = 1200, d = 10 and 24 validation
-# rows, whose one-group cosine product spans two blocks (a 7-row group's
-# product is one block).
-TIED_SHAPES = [{}, {"n_base": 1190, "d": 10, "half": 12}]
+# The default tied instance, and two of N = 1200, d = 10: with 24 validation
+# rows, whose one-group cosine product spans two column blocks (a 7-row
+# group's product is one block), and with 200, whose one-group product is
+# also split into row blocks of 96.
+TIED_SHAPES = [{}, {"n_base": 1190, "d": 10, "half": 12}, {"n_base": 1190, "d": 10, "half": 100}]
 
 
 class TestChunkInvariance:
@@ -311,7 +312,7 @@ class TestChunkInvariance:
         for shape in TIED_SHAPES:
             ds, dval = tied_instance(rng, **shape)
             if shape:
-                assert dataset_module._gemm_block(dval.n, ds.dimension)[1] < ds.n
+                assert dataset_module._gemm_block(dval.n, ds.n, ds.dimension)[1] < ds.n
             cfg = KnnConfig(3, metric, variant)
             reference = None
             for rows in CHUNK_ROWS:
