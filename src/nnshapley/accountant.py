@@ -66,6 +66,14 @@ class AccountantQuery:
             raise ParameterError("target delta must lie in (0, 1)")
 
 
+def _check_grid_points(npoints: int) -> None:
+    """Refuse a loss grid, discretized or composed, above ``MAX_GRID_POINTS``."""
+    if npoints > MAX_GRID_POINTS:
+        raise AccountingError(
+            f"loss grid would need {npoints} points; increase grid_step or sigma"
+        )
+
+
 def _discretize_from_cdf(cdf, lo: float, hi: float, grid_step: float) -> tuple[int, np.ndarray, float]:
     """Pessimistic (round-up) bucketing of a loss CDF onto the integer grid.
 
@@ -75,10 +83,7 @@ def _discretize_from_cdf(cdf, lo: float, hi: float, grid_step: float) -> tuple[i
     i_lo = math.ceil(lo / grid_step - 1e-12)
     i_hi = max(math.ceil(hi / grid_step), i_lo)
     npoints = i_hi - i_lo + 1
-    if npoints > MAX_GRID_POINTS:
-        raise AccountingError(
-            f"loss grid would need {npoints} points; increase grid_step or sigma"
-        )
+    _check_grid_points(npoints)
     grid = (np.arange(i_lo, i_hi + 1)) * grid_step
     cdf_vals = cdf(grid)
     mass = np.empty(npoints)
@@ -205,6 +210,7 @@ def _compose_pair(
     if abs(a.grid_step - b.grid_step) > 1e-15 * max(a.grid_step, b.grid_step):
         raise ParameterError("compose requires a common grid_step; rebin first")
     h = a.grid_step
+    _check_grid_points(a.mass.shape[0] + b.mass.shape[0] - 1)
     mass = _convolve(a.mass, b.mass)
     truncated = 1.0 - (1.0 - a.truncated_mass) * (1.0 - b.truncated_mass)
     start_idx, mass, truncated = _trim(

@@ -244,7 +244,7 @@ def _check_dp_flags(args: argparse.Namespace) -> None:
     q, delta, step, tail = args.q, args.delta, args.grid_step, args.truncation_tail
     for flag, value, ok, rule in (
         ("--epsilon", eps, eps is None or 0.0 < eps < math.inf, "be positive and finite"),
-        ("--sigma", sigma, sigma is None or 0.0 <= sigma < math.inf, "be nonnegative and finite"),
+        ("--sigma", sigma, sigma is None or 0.0 < sigma < math.inf, "be positive and finite"),
         ("--q", q, 0.0 < q <= 1.0, "lie in (0, 1]"),
         ("--delta", delta, 0.0 < delta < 1.0, "lie in (0, 1)"),
         ("--grid-step", step, 0.0 < step < math.inf, "be positive and finite"),
@@ -359,7 +359,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         args.output,
         _artifact(
             args,
-            report=report.to_json_dict(include_wall_time=False),
+            report=report.to_json_dict(),
             corruption_record=json.loads(record.to_json()),
         ),
     )

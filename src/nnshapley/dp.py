@@ -5,8 +5,10 @@ point (three Gaussian draws total) and derives every owner's leave-one-out
 triple from that single privatized statistic; releasing all scores this way
 is joint-DP and therefore collusion resistant. That post-processing (decrement,
 clamp, closed form) is :func:`nnshapley.tknn.tknn_value_table`, the kernel of
-the non-private release. The KNN baseline adds independent noise per owner
-per validation point instead.
+the non-private release, so any party holding the privatized triple and a
+point's own attributes can reproduce that point's released score bit for
+bit: it is the point's entry of the one-row value table of the triple. The
+KNN baseline adds independent noise per owner per validation point instead.
 
 Both releases take their noise scale as given (:class:`DpParams`); finding
 the sigma that meets an (epsilon, delta) budget is the accountant's job,
@@ -24,7 +26,7 @@ from ._rng import TAG_NOISE, TAG_SUBSAMPLE, streams
 from .dataset import Dataset, sum_over_validation, validation_chunks
 from .errors import ParameterError
 from .knn import KnnConfig, _old_sorted_batch, knn_score_matrix, knn_sorted_match
-from .tknn import NeighborCounts, TknnConfig, clamp_counts, tknn_tiled_sum, tknn_value_table
+from .tknn import NeighborCounts, TknnConfig, clamp_counts, tknn_tiled_sum
 from .valuation import MethodDescriptor, ValuationResult
 
 COUNTS_SENSITIVITY = math.sqrt(3.0)  # l2 sensitivity of the counting triple
@@ -102,25 +104,6 @@ def poisson_subsample(ds: Dataset, q: float, rng: np.random.Generator | int) -> 
     if q == 1.0:
         return ds
     return ds.subset(_poisson_mask(ds.n, q, rng))
-
-
-def dp_tknn_score_from_privatized(
-    priv: PrivatizedCounts,
-    within_threshold: bool,
-    in_sampled_neighborhood: bool,
-    label_match: bool,
-    num_classes: int,
-) -> float:
-    """Deterministic post-processing of one privatized triple into one score.
-
-    Any party holding the privatized triple and a point's own attributes can
-    reproduce that point's released score bit-for-bit: it is the point's
-    entry of the one-row :func:`tknn_value_table` of the triple.
-    """
-    if not within_threshold:
-        return 0.0
-    table = tknn_value_table(*priv.counts.as_tuple(), num_classes)
-    return float(table[int(in_sampled_neighborhood), int(label_match)])
 
 
 def dp_tknn_shapley_all(
@@ -225,10 +208,3 @@ def dp_knn_shapley_all(
         dp=params.manifest(draws=n * dval.n),
     )
     return ValuationResult(total, descriptor, validation_size=dval.n)
-
-
-def count_triple_l2_change(before: NeighborCounts, after: NeighborCounts) -> float:
-    """l2 distance between two counting triples (for sensitivity checks)."""
-    a = np.asarray(before.as_tuple(), dtype=np.float64)
-    b = np.asarray(after.as_tuple(), dtype=np.float64)
-    return float(np.linalg.norm(a - b))

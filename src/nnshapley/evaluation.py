@@ -166,16 +166,14 @@ class DetectionReport:
         if not 0.0 <= self.auroc <= 1.0:
             raise ParameterError("AUROC must lie in [0, 1]")
 
-    def to_json_dict(self, include_wall_time: bool = True) -> dict:
-        out = {
+    def to_json_dict(self) -> dict:
+        """The report without ``wall_time``, which no seed reproduces."""
+        return {
             "auroc": self.auroc,
             "method": self.method.to_dict(),
             "corruption": self.corruption,
             "seed": self.seed,
         }
-        if include_wall_time:
-            out["wall_time"] = self.wall_time
-        return out
 
 
 def run_detection(

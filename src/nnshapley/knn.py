@@ -170,18 +170,6 @@ def knn_score_matrix(
     return scores
 
 
-def knn_shapley_scores(
-    ds: Dataset,
-    cfg: KnnConfig,
-    zval: LabeledPoint,
-    num_classes: int,
-) -> np.ndarray:
-    """Raw score vector (original index order) for one validation point."""
-    return knn_score_matrix(
-        ds, cfg, zval.features[None, :], np.array([zval.label]), num_classes
-    )[0]
-
-
 def _descriptor(cfg: KnnConfig, num_classes: int) -> MethodDescriptor:
     return MethodDescriptor(
         name="knn-shapley" if cfg.variant == "refined" else "knn-shapley-old",
@@ -198,9 +186,9 @@ def knn_shapley_single(
     zval: LabeledPoint,
     num_classes: int,
 ) -> ValuationResult:
-    """Exact KNN-Shapley for a single validation point."""
-    scores = knn_shapley_scores(ds, cfg, zval, num_classes)
-    return ValuationResult(scores, _descriptor(cfg, num_classes), validation_size=1)
+    """Exact KNN-Shapley for a single validation point: the release on it alone."""
+    dval = Dataset(zval.features[None, :], [zval.label], num_classes)
+    return knn_shapley_all(ds, cfg, dval, num_classes)
 
 
 def knn_shapley_all(

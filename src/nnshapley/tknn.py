@@ -21,8 +21,10 @@ chosen by its label match and by whether it lies in the row's neighbourhood
 computes those four values for many rows at once from each row's full-data
 triple, exact or privatized: it applies the leave-one-out decrements, clamps
 and evaluates the closed form elementwise. :func:`tknn_gather` spreads the
-table over the owners. The plain and the private release and both scalar
-entry points go through this one kernel, so all of them agree bit for bit.
+table over the owners. The plain and the private release and
+:func:`tknn_shapley_from_counts` go through this one kernel, so all of them
+agree bit for bit; a single-point value, :func:`tknn_shapley_single`, is the
+plain release on a one-point validation set.
 
 Both releases sum over the validation set in one tiled pass,
 :func:`tknn_tiled_sum`, whose shape does not depend on N: validation rows
@@ -248,22 +250,6 @@ def _descriptor(cfg: TknnConfig, num_classes: int, weight: str = "shapley") -> M
     )
 
 
-def tknn_score_matrix(
-    ds: Dataset,
-    cfg: TknnConfig,
-    val_features: np.ndarray,
-    val_labels: np.ndarray,
-    num_classes: int,
-) -> np.ndarray:
-    """Score matrix (one row per validation point), O(N) per row."""
-    within = distance_matrix(cfg.metric, ds.features, val_features) <= cfg.tau
-    match = ds.labels[None, :] == np.asarray(val_labels)[:, None]
-    table = tknn_value_table(
-        ds.n, 1 + within.sum(axis=1), (within & match).sum(axis=1), num_classes
-    )
-    return tknn_gather(table, tknn_flag_code(within, match, within))
-
-
 _ROW_GROUP = 32  # validation rows per group of the tiled pass
 _COLUMN_TILE = 4096  # training columns per tile: an (R, C) float64 array is 1 MiB
 
@@ -336,10 +322,9 @@ def tknn_shapley_single(
     zval: LabeledPoint,
     num_classes: int,
 ) -> ValuationResult:
-    scores = tknn_score_matrix(
-        ds, cfg, zval.features[None, :], np.array([zval.label]), num_classes
-    )[0]
-    return ValuationResult(scores, _descriptor(cfg, num_classes), validation_size=1)
+    """Exact TKNN-Shapley for one validation point: the release on it alone."""
+    dval = Dataset(zval.features[None, :], [zval.label], num_classes)
+    return tknn_shapley_all(ds, cfg, dval, num_classes)
 
 
 def tknn_shapley_all(

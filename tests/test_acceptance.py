@@ -29,12 +29,11 @@ from nnshapley.dataset import (
 from nnshapley.dp import (
     COUNTS_SENSITIVITY,
     DpParams,
-    count_triple_l2_change,
     dp_tknn_shapley_all,
     knn_old_sensitivity,
 )
 from nnshapley.evaluation import MethodConfig, bench_runtime, run_detection, tknn_consistency_check
-from nnshapley.knn import KnnConfig, knn_shapley_scores
+from nnshapley.knn import KnnConfig, knn_shapley_single
 from nnshapley.mia import MiaConfig, mia_auroc, value_scorer
 from nnshapley.tknn import TknnConfig, counts_full
 from nnshapley.valuation import (
@@ -146,9 +145,9 @@ def test_criterion_3_sensitivity_bounds():
         k = int(rng.integers(1, 11))
         ds, zval = make_instance(rng, n)
         cfg = KnnConfig(k, EUCLID, "old")
-        base = knn_shapley_scores(ds, cfg, zval, 2)
+        base = knn_shapley_single(ds, cfg, zval, 2).scores
         extra, _ = make_instance(rng, 1)
-        after = knn_shapley_scores(ds.with_point(extra.point(0)), cfg, zval, 2)[:n]
+        after = knn_shapley_single(ds.with_point(extra.point(0)), cfg, zval, 2).scores[:n]
         change = float(np.max(np.abs(after - base)))
         bound = 1.0 / (k * (k + 1))
         assert change <= bound + 1e-12
@@ -160,10 +159,10 @@ def test_criterion_3_sensitivity_bounds():
         ds = Dataset(feats, np.zeros(k, dtype=int), 2)
         zval = LabeledPoint(np.array([0.0]), 0)
         cfg = KnnConfig(k, EUCLID, "old")
-        before = knn_shapley_scores(ds, cfg, zval, 2)[k - 1]
-        after = knn_shapley_scores(
+        before = knn_shapley_single(ds, cfg, zval, 2).scores[k - 1]
+        after = knn_shapley_single(
             ds.with_point(LabeledPoint(np.array([k + 0.5]), 0)), cfg, zval, 2
-        )[k - 1]
+        ).scores[k - 1]
         assert abs(abs(before - after) - 1.0 / (k * (k + 1))) < 1e-12
 
     # refined-variant lower-bound construction
@@ -173,8 +172,8 @@ def test_criterion_3_sensitivity_bounds():
         small = Dataset(np.array([[1.0]]), np.array([0]), 2)
         big = Dataset(np.array([[0.5], [1.0]]), np.array([0, 0]), 2)
         gap = abs(
-            knn_shapley_scores(small, cfg, zval, 2)[0]
-            - knn_shapley_scores(big, cfg, zval, 2)[1]
+            knn_shapley_single(small, cfg, zval, 2).scores[0]
+            - knn_shapley_single(big, cfg, zval, 2).scores[1]
         )
         assert gap >= 0.5 * (1.0 - 0.5) - 1e-12
 
@@ -183,9 +182,9 @@ def test_criterion_3_sensitivity_bounds():
         n = int(rng.integers(1, 40))
         ds, zval = make_instance(rng, n, metric=NEGCOS)
         cfg = TknnConfig(pick_tau(rng, ds, zval, NEGCOS), NEGCOS)
-        change = count_triple_l2_change(
-            counts_full(ds, cfg, zval),
-            counts_full(ds.without(int(rng.integers(0, n))), cfg, zval),
+        change = math.dist(
+            counts_full(ds, cfg, zval).as_tuple(),
+            counts_full(ds.without(int(rng.integers(0, n))), cfg, zval).as_tuple(),
         )
         assert change <= S3 + 1e-12
     report(3, f"old-variant bound tight (max observed ratio {worst_ratio:.3f}); "

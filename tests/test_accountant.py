@@ -152,6 +152,24 @@ class TestCompose:
         assert out.grid_step == pytest.approx(2e-4)
         assert out.total_mass() == pytest.approx(1.0, abs=1e-9)
 
+    def test_composed_grid_is_guarded_before_it_is_convolved(self, monkeypatch):
+        # Under a guard of 2e5 points one PLD at sigma = 3 (73,455 points)
+        # and its square pass, but the self-compositions grow about
+        # sqrt(m)-fold. The guard refuses the first convolution that would
+        # exceed it, as it refuses a single PLD, before it allocates.
+        monkeypatch.setattr(accountant, "MAX_GRID_POINTS", 200_000)
+        assert gaussian_pld(S3, 3.0).mass.shape[0] <= 100_000
+        lengths, convolve = [], accountant._convolve
+
+        def recording_convolve(a, b):
+            lengths.append(a.shape[0] + b.shape[0] - 1)
+            return convolve(a, b)
+
+        monkeypatch.setattr(accountant, "_convolve", recording_convolve)
+        with pytest.raises(AccountingError, match="increase grid_step or sigma"):
+            composed_epsilon(S3, 3.0, 1.0, 64, 1e-5)
+        assert lengths and max(lengths) <= 200_000
+
     def test_grid_refinement_convergence(self):
         # Halving the grid step moves the hundredfold-composed epsilon by
         # far less than 1 percent.

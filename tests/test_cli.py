@@ -336,7 +336,7 @@ _DP_FLAG_COMMANDS = {
     [("--q", "0"), ("--q", "7"), ("--delta", "0"), ("--delta", "5"), ("--grid-step", "-1"),
      ("--grid-step", "inf"), ("--truncation-tail", "0"), ("--truncation-tail", "1"),
      ("--epsilon", "nan"), ("--epsilon", "-1"), ("--epsilon", "inf"), ("--sigma", "-1"),
-     ("--sigma", "inf")],
+     ("--sigma", "inf"), ("--sigma", "0")],
 )
 @pytest.mark.parametrize("command", list(_DP_FLAG_COMMANDS))
 def test_bad_dp_flag_exits_2_before_data(tmp_path, monkeypatch, capsys, command, flag, value):
@@ -636,6 +636,15 @@ class TestAccountCommand:
                         "--delta", "1e-12", "--truncation-tail", "1e-6",
                         "--output", str(tmp_path / "x.json")])
         assert code == 4
+
+    def test_composed_grid_over_the_guard_exits_4(self, tmp_path, monkeypatch):
+        # A composition whose grid would pass MAX_GRID_POINTS cannot be accounted.
+        monkeypatch.setattr("nnshapley.accountant.MAX_GRID_POINTS", 200_000)
+        out = tmp_path / "x.json"
+        code = run_cli(["account", "--mechanisms", "64", "--sigma", "3.0",
+                        "--delta", "1e-5", "--output", str(out)])
+        assert code == 4
+        assert not out.exists()
 
 
 class TestEntryPoint:

@@ -20,17 +20,21 @@ from nnshapley.dp import (
     COUNTS_SENSITIVITY,
     DpParams,
     _poisson_mask,
-    count_triple_l2_change,
     dp_knn_shapley_all,
     dp_tknn_shapley_all,
-    dp_tknn_score_from_privatized,
     knn_old_sensitivity,
     poisson_subsample,
     privatize_counts,
 )
 from nnshapley.errors import ParameterError
-from nnshapley.knn import KnnConfig, knn_shapley_all, knn_shapley_scores
-from nnshapley.tknn import NeighborCounts, TknnConfig, counts_full, tknn_shapley_all
+from nnshapley.knn import KnnConfig, knn_shapley_all, knn_shapley_single
+from nnshapley.tknn import (
+    NeighborCounts,
+    TknnConfig,
+    counts_full,
+    tknn_shapley_all,
+    tknn_value_table,
+)
 from tests.conftest import make_instance, pick_tau, set_chunk_rows
 
 EUCLID = DistanceMetric.EUCLIDEAN
@@ -187,10 +191,9 @@ class TestDpTknn:
             zval = dval.point(v)
             within = distances_to(NEGCOS, ds.features, zval.features) <= cfg.tau
             match = ds.labels == zval.label
+            table = tknn_value_table(*audit[v].counts.as_tuple(), 2)
             for i in range(ds.n):
-                rebuilt[i] += dp_tknn_score_from_privatized(
-                    audit[v], bool(within[i]), bool(within[i]), bool(match[i]), 2
-                )
+                rebuilt[i] += table[int(within[i]), int(match[i])] if within[i] else 0.0
         assert np.array_equal(rebuilt, res.scores)
 
     def test_collusion_resistant_recompute_with_subsampling(self, monkeypatch):
@@ -212,10 +215,9 @@ class TestDpTknn:
             in_nb = within & keep
             differs |= bool((within != in_nb).any())
             match = ds.labels == zval.label
+            table = tknn_value_table(*audit[v].counts.as_tuple(), 2)
             for i in range(ds.n):
-                rebuilt[i] += dp_tknn_score_from_privatized(
-                    audit[v], bool(within[i]), bool(in_nb[i]), bool(match[i]), 2
-                )
+                rebuilt[i] += table[int(in_nb[i]), int(match[i])] if within[i] else 0.0
         assert differs
         assert np.array_equal(rebuilt, res.scores)
 
@@ -306,7 +308,7 @@ def _per_owner_subsampled_reference(ds, cfg, dval, num_classes, params):
             keep[i] = True  # the owner's own point is always present
             sub = ds.subset(keep)
             pos = int(np.searchsorted(np.flatnonzero(keep), i))
-            phi_i = knn_shapley_scores(sub, cfg, zval, num_classes)[pos]
+            phi_i = knn_shapley_single(sub, cfg, zval, num_classes).scores[pos]
             noise = float(noise_rng.normal(0.0, sigma)) if sigma > 0.0 else 0.0
             total[i] += phi_i + noise
     return total
@@ -480,7 +482,7 @@ class TestSensitivity:
             cfg = TknnConfig(pick_tau(rng, ds, zval, NEGCOS), NEGCOS)
             before = counts_full(ds, cfg, zval)
             after = counts_full(ds.without(int(rng.integers(0, n))), cfg, zval)
-            change = count_triple_l2_change(before, after)
+            change = math.dist(before.as_tuple(), after.as_tuple())
             assert change <= COUNTS_SENSITIVITY + 1e-12
 
     def test_old_knn_empirical_sensitivity(self, rng):
@@ -491,10 +493,10 @@ class TestSensitivity:
             k = int(rng.integers(1, 8))
             ds, zval = make_instance(rng, n)
             cfg = KnnConfig(k, EUCLID, "old")
-            base = knn_shapley_scores(ds, cfg, zval, 2)
+            base = knn_shapley_single(ds, cfg, zval, 2).scores
             extra, _ = make_instance(rng, 1)
             bigger = ds.with_point(extra.point(0))
-            after = knn_shapley_scores(bigger, cfg, zval, 2)[:n]
+            after = knn_shapley_single(bigger, cfg, zval, 2).scores[:n]
             change = float(np.max(np.abs(after - base)))
             assert change <= 1 / (k * (k + 1)) + 1e-12
 
@@ -506,9 +508,9 @@ class TestSensitivity:
         ds = Dataset(feats, np.zeros(k, dtype=int), 2)
         zval = LabeledPoint(np.array([0.0]), 0)
         cfg = KnnConfig(k, EUCLID, "old")
-        before = knn_shapley_scores(ds, cfg, zval, 2)[k - 1]
+        before = knn_shapley_single(ds, cfg, zval, 2).scores[k - 1]
         bigger = ds.with_point(LabeledPoint(np.array([float(k) + 0.5]), 0))
-        after = knn_shapley_scores(bigger, cfg, zval, 2)[k - 1]
+        after = knn_shapley_single(bigger, cfg, zval, 2).scores[k - 1]
         assert abs(before - after) == pytest.approx(1 / (k * (k + 1)), abs=1e-15)
 
     @pytest.mark.parametrize("k", [1, 2, 4])
@@ -521,6 +523,6 @@ class TestSensitivity:
         cfg = KnnConfig(k, EUCLID, "refined")
         small = Dataset(z2.features[None, :], np.array([z2.label]), 2)
         big = Dataset(np.vstack([z1.features, z2.features]), np.array([0, 0]), 2)
-        phi_small = knn_shapley_scores(small, cfg, zval, 2)[0]
-        phi_big = knn_shapley_scores(big, cfg, zval, 2)[1]
+        phi_small = knn_shapley_single(small, cfg, zval, 2).scores[0]
+        phi_big = knn_shapley_single(big, cfg, zval, 2).scores[1]
         assert abs(phi_small - phi_big) >= 0.5 * (1 - 0.5) - 1e-12

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -23,7 +24,7 @@ from nnshapley.knn import (
     knn_shapley_all,
     knn_shapley_single,
 )
-from nnshapley.tknn import TknnConfig, tknn_shapley_all
+from nnshapley.tknn import TknnConfig, tknn_shapley_all, tknn_shapley_single
 from nnshapley.valuation import (
     aggregate_over_validation,
     knn_old_utility,
@@ -115,12 +116,32 @@ class TestOracleEquivalence:
 
 
 class TestValidationSet:
-    def test_single_point_val_set_equals_single(self, rng):
-        ds, zval = make_instance(rng, 8)
-        dval = Dataset(zval.features[None, :], np.array([zval.label]), 2)
-        all_res = knn_shapley_all(ds, KnnConfig(3, EUCLID), dval, 2)
-        single = knn_shapley_single(ds, KnnConfig(3, EUCLID), zval, 2)
-        assert np.max(np.abs(all_res.scores - single.scores)) < 1e-12
+    def test_single_point_val_set_equals_single(self):
+        # Bit for bit: the single-point entry, the release on a one-point
+        # validation set and the one-row kernel. N = 4099 is not a multiple of
+        # 16, and two copied points tie in the order.
+        ds = generate_gaussian_synthetic(4097, 5, seed=5).subset(np.r_[np.arange(4097), 7, 4000])
+        dval = generate_gaussian_synthetic(3, 5, seed=6)
+        for metric, variant in itertools.product((EUCLID, NEGCOS), ("refined", "old")):
+            cfg = KnnConfig(3, metric, variant)
+            for v, zval in enumerate(dval.points()):
+                single = knn_shapley_single(ds, cfg, zval, 2).scores
+                release = knn_shapley_all(ds, cfg, dval.subset([v]), 2).scores
+                kernel = knn_score_matrix(ds, cfg, zval.features[None, :], [zval.label], 2)[0]
+                assert single.tobytes() == release.tobytes() == kernel.tobytes(), (metric, variant)
+
+    @pytest.mark.parametrize(
+        "single, cfg",
+        [
+            (knn_shapley_single, KnnConfig(1, EUCLID)),
+            (tknn_shapley_single, TknnConfig(1.0, EUCLID)),
+        ],
+    )
+    def test_single_point_label_out_of_range_rejected(self, rng, single, cfg):
+        # The one-point validation set checks the label as every Dataset does.
+        ds, zval = make_instance(rng, 5)
+        with pytest.raises(ParameterError, match="num_classes"):
+            single(ds, cfg, LabeledPoint(zval.features, 2), 2)
 
     def test_matches_aggregate_of_singles(self, rng):
         ds, _ = make_instance(rng, 9)

@@ -12,6 +12,7 @@ from nnshapley.dataset import (
     DistanceMetric,
     LabeledPoint,
     distance,
+    distances_to,
     generate_gaussian_synthetic,
 )
 from nnshapley.dp import DpParams, dp_tknn_shapley_all
@@ -26,7 +27,6 @@ from nnshapley.tknn import (
     tknn_semivalue_generic,
     tknn_shapley_all,
     tknn_shapley_from_counts,
-    tknn_score_matrix,
     tknn_shapley_single,
     tknn_value_table,
 )
@@ -72,6 +72,7 @@ class TestCounts:
         ds = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 2)
         zval = LabeledPoint(np.zeros(2), 0)
         assert counts_full(ds, TknnConfig(1.0, EUCLID), zval).as_tuple() == (0, 1, 0)
+        assert tknn_shapley_single(ds, TknnConfig(1.0, EUCLID), zval, 2).scores.shape == (0,)
 
     def test_single_matching_neighbor(self):
         ds = Dataset(np.array([[0.5, 0.0]]), np.array([1]), 2)
@@ -147,8 +148,6 @@ class TestClosedForm:
             ds, zval = make_instance(rng, int(rng.integers(2, 10)))
             cfg = TknnConfig(pick_tau(rng, ds, zval, EUCLID), EUCLID)
             scores = tknn_shapley_single(ds, cfg, zval, 2).scores
-            from nnshapley.dataset import distances_to
-
             within = distances_to(EUCLID, ds.features, zval.features) <= cfg.tau
             match = ds.labels == zval.label
             assert np.all(scores[within & match] > 0)
@@ -171,6 +170,28 @@ class TestClosedForm:
             scores = tknn_shapley_single(ds, cfg, zval, c).scores
             v_full = utility(tknn_utility(cfg.tau, c), ds, zval, EUCLID)
             assert scores.sum() == pytest.approx(v_full - 1 / c, abs=1e-9)
+
+    @pytest.mark.parametrize("metric", [EUCLID, NEGCOS])
+    def test_single_is_the_one_point_release(self, metric):
+        # N = 4099 spans two column tiles and is not a multiple of 16. The
+        # single-point entry is the release on a one-point validation set, and
+        # each in-threshold entry is the closed form of the point's own
+        # leave-one-out triple, bit for bit.
+        ds = generate_gaussian_synthetic(4099, 5, seed=5)
+        dval = generate_gaussian_synthetic(3, 5, seed=6)
+        cfg = TknnConfig(-0.3 if metric is NEGCOS else 2.5, metric)
+        for v, zval in enumerate(dval.points()):
+            single = tknn_shapley_single(ds, cfg, zval, 2).scores
+            release = tknn_shapley_all(ds, cfg, dval.subset([v]), 2).scores
+            assert single.tobytes() == release.tobytes()
+            full = counts_full(ds, cfg, zval)
+            inside = distances_to(metric, ds.features, zval.features) <= cfg.tau
+            flags = list(zip(inside.tolist(), (ds.labels == zval.label).tolist()))
+            value = {
+                (w, m): tknn_shapley_from_counts(counts_leave_one_out(full, w, m), m, w, 2)
+                for w, m in set(flags)
+            }
+            assert single.tobytes() == np.array([value[f] for f in flags]).tobytes()
 
     def test_validation_set_linearity(self, rng):
         ds, _ = make_instance(rng, 9)
@@ -213,6 +234,11 @@ def duplicated_instance(metric, n=200, d=5):
     return ds, base, order, TknnConfig(tau, metric)
 
 
+def single_rows(ds, cfg, dval):
+    """Each validation point's score row, from the single-point entry."""
+    return np.array([tknn_shapley_single(ds, cfg, z, 3).scores for z in dval.points()])
+
+
 def row_ordered_sum(rows):
     total = np.zeros(rows.shape[1])
     for row in rows:
@@ -225,8 +251,7 @@ class TestTiledPass:
     def test_rows_are_summed_in_validation_order(self, monkeypatch, metric):
         ds, base, order, cfg = duplicated_instance(metric)
         dval = base.subset(order)
-        matrix = tknn_score_matrix(ds, cfg, dval.features, dval.labels, 3)
-        expected = row_ordered_sum(matrix)
+        expected = row_ordered_sum(single_rows(ds, cfg, dval))
         for rows, cols in GEOMETRIES:
             set_geometry(monkeypatch, rows, cols)
             assert np.array_equal(tknn_shapley_all(ds, cfg, dval, 3).scores, expected)
@@ -249,8 +274,7 @@ class TestTiledPass:
     def test_duplicate_validation_rows_contribute_identically(self, monkeypatch, metric):
         # Every copy of a validation point adds exactly the point's own score row.
         ds, base, order, cfg = duplicated_instance(metric)
-        base_rows = tknn_score_matrix(ds, cfg, base.features, base.labels, 3)
-        expected = row_ordered_sum(base_rows[order])
+        expected = row_ordered_sum(single_rows(ds, cfg, base)[order])
         for rows, cols in GEOMETRIES:
             set_geometry(monkeypatch, rows, cols)
             for threads in (1, 2):
