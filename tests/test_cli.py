@@ -675,13 +675,16 @@ class TestEntryPoint:
         assert proc.stdout.splitlines() == ["nnshapley []", "nnshapley.cli []"]
 
     def test_attack_and_dp_runs_leave_stats_signal_optimize_unloaded(self, tmp_path):
-        # The knn runs load no scipy; the dp-tknn runs then load only what
-        # they use.
+        # The non-private knn and tknn runs load no scipy; the dp-tknn runs
+        # then load only what they use.
         attack = ["attack", "--synthetic", "d=3", "--members", "4", "--nonmembers", "4",
                   "--shadow-pool", "10", "--shadow-count", "2", "--n-val", "3"]
-        knn_runs = [
+        data = ["--synthetic", "n=50,d=3", "--synthetic-val", "n=4"]
+        plain_runs = [
             attack + ["--method", "knn", "--k", "1"],
-            ["value", "--synthetic", "n=50,d=3", "--synthetic-val", "n=4", "--method", "knn"],
+            ["value", *data, "--method", "knn"],
+            ["value", *data, "--method", "tknn"],
+            ["detect", *data, "--method", "tknn", "--corruption", "flip"],
         ]
         dp_runs = [
             attack + ["--method", "dp-tknn", "--epsilon", "1", "--q", "0.5"],
@@ -690,7 +693,7 @@ class TestEntryPoint:
         ]
         runs = [
             [args + ["--output", str(tmp_path / f"{name}{i}.json")] for i, args in enumerate(group)]
-            for name, group in (("knn", knn_runs), ("dp", dp_runs))
+            for name, group in (("plain", plain_runs), ("dp", dp_runs))
         ]
         code = (
             "import json, sys; from nnshapley.cli import main\n"
@@ -703,7 +706,7 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == [
-            "[0, 0] []",
+            "[0, 0, 0, 0] []",
             "[0, 0] ['scipy', 'scipy.fft', 'scipy.special']",
         ]
         report = json.loads((tmp_path / "dp1.json.account.json").read_text())["report"]

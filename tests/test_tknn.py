@@ -1,10 +1,11 @@
+import itertools
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.special import digamma
 
 from nnshapley import tknn
 from nnshapley.dataset import (
@@ -331,7 +332,7 @@ class TestA2:
         for i in range(c.size):
             assert values[i] == a2_term(int(c[i]), int(c_x[i]))
 
-    @pytest.mark.parametrize("bad", [(3, 0), (3, 5), (-1, 1)])
+    @pytest.mark.parametrize("bad", [(3, 0), (3, 5), (-1, 1), (40, 42)])
     def test_one_bad_element_raises(self, bad):
         c = np.array([4, 4, bad[0], 4])
         c_x = np.array([1, 5, bad[1], 3])
@@ -350,6 +351,35 @@ class TestA2:
                 assert exact == harmonic - 1
                 assert a2_term(c, c_x) == pytest.approx(float(exact), rel=1e-14, abs=1e-15)
 
+    def test_within_one_ulp_of_exact_harmonic(self):
+        # Every table entry (n < 32) and the series up to n = 3000 against the
+        # exactly rounded H_n - 1.
+        n = np.arange(1, 3001)
+        harmonic = itertools.accumulate(Fraction(1, k) for k in n.tolist())
+        exact = np.array([float(h - 1) for h in harmonic])
+        values = a2_term(n + 7, n)
+        ulps = np.abs(values.view(np.int64) - exact.view(np.int64))
+        assert ulps.max() <= 1
+        assert np.array_equal(values[:31], exact[:31])
+
+    def test_series_against_a_40_digit_sum(self):
+        # The cut-off (31 is the last table entry) and about 50 n up to 1e6,
+        # against H_n summed in 40-digit decimal arithmetic.
+        rng = np.random.default_rng(3)
+        wanted = {31, 32, 33, 10**6, *rng.integers(34, 10**6, 47).tolist()}
+        reference = {}
+        with localcontext() as ctx:
+            ctx.prec = 40
+            h = Decimal(0)
+            for k in range(1, max(wanted) + 1):
+                h += Decimal(1) / k
+                if k in wanted:
+                    reference[k] = float(h - 1)
+        n = np.array(sorted(reference))
+        exact = np.array([reference[k] for k in n.tolist()])
+        ulps = np.abs(a2_term(n, n).view(np.int64) - exact.view(np.int64))
+        assert ulps.max() <= 1
+
     def test_all_neighbors_case(self):
         # c_x = c + 1 zeroes every binomial ratio: A2 = H(c + 1) - 1.
         c = 20
@@ -365,10 +395,15 @@ def old_clamp(c, c_x, c_zplus):
     return ci, cxi, czi
 
 
+def exact_harmonic_minus_one(n):
+    """H_n - 1, exactly rounded from the rational sum."""
+    return float(sum(Fraction(1, j) for j in range(1, n + 1)) - 1)
+
+
 def old_table_entry(triple, nb, m, num_classes):
     """Leave-one-out decrement, re-clamp and closed form, as scalar code."""
     c, c_x, c_zplus = old_clamp(triple[0] - 1, triple[1] - nb, triple[2] - (nb if m else 0))
-    a2 = float(digamma(c_x + 1.0)) + np.euler_gamma - 1.0
+    a2 = exact_harmonic_minus_one(c_x)
     mv = 1.0 if m else 0.0
     base = (mv - 1.0 / num_classes) / c_x
     if c_x < 2:
