@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
-from typing import Iterable
 
 import numpy as np
 
@@ -78,23 +77,6 @@ class PrivatizedCounts:
     raw_noise_draws: tuple[float, float, float]
 
 
-def _privatize_rows(
-    counts: np.ndarray, sigma: float, gens: Iterable[np.random.Generator]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Privatize an (R, 3) block of count triples, one generator per row.
-
-    Each row takes its three draws from its own generator, none at sigma = 0;
-    the rounding and the clamp then run over the whole block. Returns the
-    privatized triples (int64) and the draws, both (R, 3).
-    """
-    if sigma > 0.0:
-        draws = np.array([gen.normal(0.0, sigma, 3) for gen in gens])
-    else:
-        draws = np.zeros((len(counts), 3))
-    noisy = np.rint(counts + draws)
-    return np.stack(clamp_counts(*noisy.T), axis=1).astype(np.int64), draws
-
-
 def privatize_counts(
     counts: NeighborCounts,
     sigma: float,
@@ -104,8 +86,10 @@ def privatize_counts(
     if sigma < 0.0:
         raise ParameterError("sigma must be nonnegative")
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    (priv,), (draws,) = _privatize_rows(np.array([counts.as_tuple()]), sigma, [gen])
-    return PrivatizedCounts(NeighborCounts(*priv.tolist()), tuple(draws.tolist()))
+    draws = gen.normal(0.0, sigma, 3) if sigma > 0.0 else np.zeros(3)
+    noisy = np.rint(np.asarray(counts.as_tuple(), dtype=np.float64) + draws)
+    c, c_x, c_zplus = clamp_counts(*noisy)
+    return PrivatizedCounts(NeighborCounts(int(c), int(c_x), int(c_zplus)), tuple(draws.tolist()))
 
 
 def _poisson_mask(n: int, q: float, rng: np.random.Generator | int) -> np.ndarray:
@@ -122,26 +106,39 @@ def poisson_subsample(ds: Dataset, q: float, rng: np.random.Generator | int) -> 
     return ds.subset(_poisson_mask(ds.n, q, rng))
 
 
-def _dp_tknn_release(
+def dp_tknn_shapley_all(
     ds: Dataset,
     cfg: TknnConfig,
     dval: Dataset,
     num_classes: int,
     params: DpParams,
-) -> tuple[ValuationResult, np.ndarray, np.ndarray]:
-    """The DP-TKNN release with its privatized triples and draws, each (|dval|, 3)."""
-    privatized, draws = [np.empty((0, 3), np.int64)], [np.empty((0, 3))]
+) -> tuple[ValuationResult, list[PrivatizedCounts]]:
+    """DP-TKNN-Shapley over a validation set.
+
+    Per validation point: one Poisson subsample (when q < 1), one counting
+    pass, one 3-draw privatization, then every owner's score by O(1)
+    decrements on the shared privatized triple. Exactly 3 * |dval| Gaussian
+    draws regardless of N. This is the tiled pass of the non-private release,
+    :func:`nnshapley.tknn.tknn_tiled_sum`: each row's mask and noise come
+    from its own keyed streams (built for a whole row group in one batch),
+    and each row group's count triples are privatized one row at a time, in
+    validation order, before its value tables are built.
+    """
+    released: list[PrivatizedCounts] = []
 
     def sample(lo: int, hi: int) -> np.ndarray:
         gens = streams(params.seed, (TAG_SUBSAMPLE,), lo, hi)
         return np.array([_poisson_mask(ds.n, params.q, gen) for gen in gens])
 
     def release(lo: int, *counts: np.ndarray) -> np.ndarray:
-        gens = streams(params.seed, (TAG_NOISE,), lo, lo + len(counts[0]))
-        priv, noise = _privatize_rows(np.stack(counts, axis=1), params.sigma, gens)
-        privatized.append(priv)
-        draws.append(noise)
-        return priv.T
+        rows = np.stack(counts, axis=1).tolist()
+        gens = streams(params.seed, (TAG_NOISE,), lo, lo + len(rows))
+        privs = [
+            privatize_counts(NeighborCounts(*row), params.sigma, gen)
+            for row, gen in zip(rows, gens)
+        ]
+        released.extend(privs)
+        return np.array([p.counts.as_tuple() for p in privs], dtype=np.float64).T
 
     subsampled = sample if params.q < 1.0 else None
     total = tknn_tiled_sum(ds, cfg, dval, num_classes, sample=subsampled, release=release)
@@ -153,36 +150,7 @@ def _dp_tknn_release(
         weight="shapley",
         dp=params.manifest(draws=3 * dval.n),
     )
-    result = ValuationResult(total, descriptor, validation_size=dval.n)
-    return result, np.concatenate(privatized), np.concatenate(draws)
-
-
-def dp_tknn_shapley_all(
-    ds: Dataset,
-    cfg: TknnConfig,
-    dval: Dataset,
-    num_classes: int,
-    params: DpParams,
-) -> tuple[ValuationResult, list[PrivatizedCounts]]:
-    """DP-TKNN-Shapley over a validation set, with each point's privatized triple.
-
-    Per validation point: one Poisson subsample (when q < 1), one counting
-    pass, one 3-draw privatization, then every owner's score by O(1)
-    decrements on the shared privatized triple. Exactly 3 * |dval| Gaussian
-    draws regardless of N. This is the tiled pass of the non-private release,
-    :func:`nnshapley.tknn.tknn_tiled_sum`: each row's mask and noise come
-    from its own keyed streams (built for a whole row group in one batch),
-    and each row group's count triples are privatized in one array pass,
-    the draws still taken row by row from the rows' streams, before its value
-    tables are built. The audit list, one :class:`PrivatizedCounts` per
-    validation point in order, is built from those arrays after the release.
-    """
-    result, privatized, draws = _dp_tknn_release(ds, cfg, dval, num_classes, params)
-    audit = [
-        PrivatizedCounts(NeighborCounts(*priv), tuple(noise))
-        for priv, noise in zip(privatized.tolist(), draws.tolist())
-    ]
-    return result, audit
+    return ValuationResult(total, descriptor, validation_size=dval.n), released
 
 
 def dp_knn_shapley_all(

@@ -14,8 +14,8 @@ from .dataset import CorruptionRecord, Dataset, DistanceMetric, generate_gaussia
 from .dp import (
     COUNTS_SENSITIVITY,
     DpParams,
-    _dp_tknn_release,
     dp_knn_shapley_all,
+    dp_tknn_shapley_all,
     knn_old_sensitivity,
 )
 from .errors import ParameterError
@@ -95,7 +95,7 @@ def _run_knn_old(train: Dataset, dval: Dataset, m: MethodConfig, threads: int) -
 
 def _run_dp_tknn(train: Dataset, dval: Dataset, m: MethodConfig, threads: int) -> ValuationResult:
     cfg = TknnConfig(m.tau, m.metric)
-    return _dp_tknn_release(train, cfg, dval, train.num_classes, m.dp)[0]
+    return dp_tknn_shapley_all(train, cfg, dval, train.num_classes, m.dp)[0]
 
 
 def _run_dp_knn(train: Dataset, dval: Dataset, m: MethodConfig, threads: int) -> ValuationResult:

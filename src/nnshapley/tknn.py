@@ -40,7 +40,7 @@ never a float matrix with a row per validation point. It reads nothing but
 the data and its own group, so worker threads may run it for several groups
 at once. Pass 2 is the driver's ``add``, which runs in the calling thread,
 one group at a time in validation order: the private release privatizes
-the group's triples there, in one array pass; then it builds the group's
+the group's triples there, one row at a time; then it builds the group's
 value tables and, tile by tile, gathers the tile's score rows into one
 (R, C) buffer allocated once per group and adds them to the tile's columns of
 the running total with :func:`nnshapley.dataset.add_rows`, the row adder of
@@ -186,8 +186,6 @@ def a2_term(c, c_x):
         raise ParameterError("a2_term needs 1 <= c_x <= c + 1")
     n = np.asarray(c_x, dtype=np.float64)
     exact = _H_MINUS_ONE[np.minimum(n, _SERIES_FROM - 1).astype(np.intp)]
-    if n.max(initial=0.0) < _SERIES_FROM:  # every element is a table entry
-        return exact
     m = np.maximum(n, _SERIES_FROM)  # table elements get a finite series value, discarded below
     r = 1.0 / (m * m)
     tail = 0.5 / m - r * (1.0 / 12 - r * (1.0 / 120 - r * (1.0 / 252 - r / 240)))

@@ -108,27 +108,6 @@ class TestPrivatizeCounts:
         b = privatize_counts(NeighborCounts(9, 5, 1), 2.5, 42)
         assert a == b
 
-    @pytest.mark.parametrize("sigma", [0.0, 0.7, 40.0])
-    def test_row_group_pass_equals_per_row(self, sigma):
-        # Random valid triples, small ones included so that large noise clamps
-        # them, privatized as one (R, 3) block and one row at a time, each row
-        # drawing from its own stream.
-        rng = np.random.default_rng(11)
-        c = rng.integers(0, 40, 96)
-        c_x = 1 + rng.integers(0, c + 1)
-        counts = np.stack([c, c_x, rng.integers(0, c_x)], axis=1)
-        priv, draws = dp._privatize_rows(counts, sigma, streams(5, (TAG_NOISE,), 0, 96))
-        assert priv.shape == draws.shape == (96, 3)
-        gens = streams(5, (TAG_NOISE,), 0, 96)
-        for triple, gen, row, noise in zip(counts.tolist(), gens, priv, draws):
-            ref = privatize_counts(NeighborCounts(*triple), sigma, gen)
-            assert tuple(row.tolist()) == ref.counts.as_tuple()
-            assert noise.tobytes() == np.array(ref.raw_noise_draws).tobytes()
-        if sigma == 0.0:
-            assert np.array_equal(priv, counts) and not draws.any()
-        else:
-            assert (np.rint(counts + draws) != priv).any()  # some rows were clamped
-
 
 class TestPoissonSubsample:
     def test_q_one_is_identity(self):
