@@ -234,6 +234,10 @@ def _load_datasets(args: argparse.Namespace) -> tuple[Dataset, Dataset]:
         raise ParameterError("--val is required with --train")
     train = load_csv(args.train, label_column, normalize, args.num_classes)
     dval = load_csv(args.val, label_column, normalize, train.num_classes)
+    if dval.dimension != train.dimension:
+        raise DataError(
+            f"{args.val} has {dval.dimension} feature columns, {args.train} has {train.dimension}"
+        )
     return train, dval
 
 

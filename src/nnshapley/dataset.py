@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 import re
 import warnings
 from collections import deque
@@ -41,6 +42,11 @@ class DistanceMetric(str, Enum):
         raise ParameterError(f"unknown distance metric: {name!r}")
 
 
+def _check_finite(features: np.ndarray) -> None:
+    if not np.isfinite(features).all():
+        raise ParameterError("features must be finite")
+
+
 @dataclass(frozen=True)
 class LabeledPoint:
     """A single training or validation example."""
@@ -52,16 +58,27 @@ class LabeledPoint:
         feats = np.asarray(self.features, dtype=np.float64)
         if feats.ndim != 1:
             raise ParameterError("features must be a 1-d vector")
+        _check_finite(feats)
+        try:
+            label = operator.index(self.label)
+        except TypeError:
+            value = float(self.label)
+            if not value.is_integer():  # also false for NaN and infinities
+                raise ParameterError(f"label {self.label!r} is not an integer") from None
+            label = int(value)
         feats = feats.copy()
         feats.setflags(write=False)
         object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "label", int(self.label))
+        object.__setattr__(self, "label", label)
 
 
 @dataclass(frozen=True)
 class Dataset:
     """Ordered labeled points with a declared class count.
 
+    Features are finite and labels integers in [0, num_classes). Every release
+    takes the class count C from its training set, whose utilities score an
+    empty neighbourhood 1/C; a validation set must declare the same C.
     Arrays are frozen after construction; all operations return new datasets.
     ``owners`` tracks the original index of each point across subsetting, so
     subsampled datasets remember who contributed each row.
@@ -74,15 +91,21 @@ class Dataset:
 
     def __post_init__(self) -> None:
         feats = np.asarray(self.features, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
         if feats.ndim != 2:
             raise ParameterError("features must be an (N, d) matrix")
         if labels.ndim != 1 or labels.shape[0] != feats.shape[0]:
             raise ParameterError("labels must be a length-N vector")
+        _check_finite(feats)
+        if labels.dtype.kind not in "biu":
+            labels = labels.astype(np.float64)
+            if not np.all(labels == np.floor(labels)):  # NaN fails here, +-inf the range check
+                raise ParameterError("labels must be integers")
         if self.num_classes < 2:
             raise ParameterError("num_classes must be at least 2")
         if labels.size and (labels.min() < 0 or labels.max() >= self.num_classes):
             raise ParameterError("labels must lie in [0, num_classes)")
+        labels = labels.astype(np.int64)
         owners = self.owners
         if owners is None:
             owners = np.arange(feats.shape[0], dtype=np.int64)
@@ -91,7 +114,6 @@ class Dataset:
             if owners.shape != labels.shape:
                 raise ParameterError("owners must match the number of points")
         feats = feats.copy()
-        labels = labels.copy()
         owners = owners.copy()
         for arr in (feats, labels, owners):
             arr.setflags(write=False)
@@ -366,7 +388,9 @@ def sum_over_validation(
     """Sum of the per-point score vectors over the validation set, shape (N,).
 
     The one loop over validation rows of every release. It rejects an empty
-    validation set, computes the training norms once and runs
+    validation set and one that declares another class count than ``ds``
+    (the utilities score an empty neighbourhood 1/C, with C read from ``ds``),
+    computes the training norms once and runs
     ``work(lo, hi, norms)`` for each row group ``(lo, hi)`` of ``groups``, on
     up to ``threads`` workers and never more than ``threads + 1`` results
     ahead of the running total. ``add(total, part)`` folds one group's result
@@ -383,6 +407,10 @@ def sum_over_validation(
     """
     if dval.n == 0:
         raise ParameterError("validation set must be nonempty")
+    if dval.num_classes != ds.num_classes:
+        raise ParameterError(
+            f"validation set declares {dval.num_classes} classes, training set {ds.num_classes}"
+        )
     norms = training_norms(metric, ds.features)
     total = np.zeros(ds.n)
     if threads < 2 or len(groups) < 2:

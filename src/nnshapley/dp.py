@@ -110,7 +110,6 @@ def dp_tknn_shapley_all(
     ds: Dataset,
     cfg: TknnConfig,
     dval: Dataset,
-    num_classes: int,
     params: DpParams,
 ) -> tuple[ValuationResult, list[PrivatizedCounts]]:
     """DP-TKNN-Shapley over a validation set.
@@ -141,10 +140,10 @@ def dp_tknn_shapley_all(
         return np.array([p.counts.as_tuple() for p in privs], dtype=np.float64).T
 
     subsampled = sample if params.q < 1.0 else None
-    total = tknn_tiled_sum(ds, cfg, dval, num_classes, sample=subsampled, release=release)
+    total = tknn_tiled_sum(ds, cfg, dval, sample=subsampled, release=release)
     descriptor = MethodDescriptor(
         name="dp-tknn-shapley",
-        num_classes=num_classes,
+        num_classes=ds.num_classes,
         metric=cfg.metric.value,
         tau=cfg.tau,
         weight="shapley",
@@ -157,7 +156,6 @@ def dp_knn_shapley_all(
     ds: Dataset,
     cfg: KnnConfig,
     dval: Dataset,
-    num_classes: int,
     params: DpParams,
     subsampled: bool = False,
 ) -> ValuationResult:
@@ -180,7 +178,7 @@ def dp_knn_shapley_all(
     def scores(lo: int, hi: int, norms: np.ndarray | None) -> np.ndarray:
         features, labels = dval.features[lo:hi], dval.labels[lo:hi]
         if params.q == 1.0:  # unsubsampled, or every mask would keep every point
-            chunk = knn_score_matrix(ds, cfg, features, labels, num_classes, norms)
+            chunk = knn_score_matrix(ds, cfg, features, labels, norms)
         else:
             order, match = knn_sorted_match(ds, cfg.metric, features, labels, norms)
             rank = np.empty_like(order)  # rank[row, i]: position of point i in order[row]
@@ -201,7 +199,7 @@ def dp_knn_shapley_all(
     total = sum_over_validation(ds, dval, cfg.metric, validation_chunks(dval.n, n), scores)
     descriptor = MethodDescriptor(
         name="dp-knn-shapley-old" + ("-subsampled" if subsampled else ""),
-        num_classes=num_classes,
+        num_classes=ds.num_classes,
         metric=cfg.metric.value,
         k=cfg.k,
         weight="shapley",

@@ -80,27 +80,27 @@ class MethodConfig:
 # that rebinds a driver here (a tracer, a test double) sees the call.
 def _run_tknn(train: Dataset, dval: Dataset, m: MethodConfig, threads: int) -> ValuationResult:
     cfg = TknnConfig(m.tau, m.metric)
-    return tknn_shapley_all(train, cfg, dval, train.num_classes, threads)
+    return tknn_shapley_all(train, cfg, dval, threads)
 
 
 def _run_knn(train: Dataset, dval: Dataset, m: MethodConfig, threads: int) -> ValuationResult:
     cfg = KnnConfig(m.k, m.metric, "refined")
-    return knn_shapley_all(train, cfg, dval, train.num_classes, threads)
+    return knn_shapley_all(train, cfg, dval, threads)
 
 
 def _run_knn_old(train: Dataset, dval: Dataset, m: MethodConfig, threads: int) -> ValuationResult:
     cfg = KnnConfig(m.k, m.metric, "old")
-    return knn_shapley_all(train, cfg, dval, train.num_classes, threads)
+    return knn_shapley_all(train, cfg, dval, threads)
 
 
 def _run_dp_tknn(train: Dataset, dval: Dataset, m: MethodConfig, threads: int) -> ValuationResult:
     cfg = TknnConfig(m.tau, m.metric)
-    return dp_tknn_shapley_all(train, cfg, dval, train.num_classes, m.dp)[0]
+    return dp_tknn_shapley_all(train, cfg, dval, m.dp)[0]
 
 
 def _run_dp_knn(train: Dataset, dval: Dataset, m: MethodConfig, threads: int) -> ValuationResult:
     cfg = KnnConfig(m.k, m.metric, "old")
-    return dp_knn_shapley_all(train, cfg, dval, train.num_classes, m.dp, m.dp_subsampled)
+    return dp_knn_shapley_all(train, cfg, dval, m.dp, m.dp_subsampled)
 
 
 @dataclass(frozen=True)

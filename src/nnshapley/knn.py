@@ -156,13 +156,12 @@ def knn_score_matrix(
     cfg: KnnConfig,
     val_features: np.ndarray,
     val_labels: np.ndarray,
-    num_classes: int,
     train_norms: np.ndarray | None = None,
 ) -> np.ndarray:
     """Score matrix (one row per validation point), original index order."""
     order, match = knn_sorted_match(ds, cfg.metric, val_features, val_labels, train_norms)
     if cfg.variant == "refined":
-        sorted_scores = _refined_sorted_batch(match, cfg.k, num_classes)
+        sorted_scores = _refined_sorted_batch(match, cfg.k, ds.num_classes)
     else:
         sorted_scores = _old_sorted_batch(match, cfg.k)
     scores = np.empty_like(sorted_scores)
@@ -170,10 +169,10 @@ def knn_score_matrix(
     return scores
 
 
-def _descriptor(cfg: KnnConfig, num_classes: int) -> MethodDescriptor:
+def _descriptor(ds: Dataset, cfg: KnnConfig) -> MethodDescriptor:
     return MethodDescriptor(
         name="knn-shapley" if cfg.variant == "refined" else "knn-shapley-old",
-        num_classes=num_classes,
+        num_classes=ds.num_classes,
         metric=cfg.metric.value,
         k=cfg.k,
         weight="shapley",
@@ -184,27 +183,23 @@ def knn_shapley_single(
     ds: Dataset,
     cfg: KnnConfig,
     zval: LabeledPoint,
-    num_classes: int,
 ) -> ValuationResult:
     """Exact KNN-Shapley for a single validation point: the release on it alone."""
-    dval = Dataset(zval.features[None, :], [zval.label], num_classes)
-    return knn_shapley_all(ds, cfg, dval, num_classes)
+    dval = Dataset(zval.features[None, :], [zval.label], ds.num_classes)
+    return knn_shapley_all(ds, cfg, dval)
 
 
 def knn_shapley_all(
     ds: Dataset,
     cfg: KnnConfig,
     dval: Dataset,
-    num_classes: int,
     threads: int = 1,
 ) -> ValuationResult:
     """Exact KNN-Shapley summed over a validation set (linearity)."""
 
     def scores(lo: int, hi: int, norms: np.ndarray | None) -> np.ndarray:
-        return knn_score_matrix(
-            ds, cfg, dval.features[lo:hi], dval.labels[lo:hi], num_classes, norms
-        )
+        return knn_score_matrix(ds, cfg, dval.features[lo:hi], dval.labels[lo:hi], norms)
 
     chunks = validation_chunks(dval.n, ds.n)
     total = sum_over_validation(ds, dval, cfg.metric, chunks, scores, threads=threads)
-    return ValuationResult(total, _descriptor(cfg, num_classes), validation_size=dval.n)
+    return ValuationResult(total, _descriptor(ds, cfg), validation_size=dval.n)

@@ -34,20 +34,18 @@ from .evaluation import MethodConfig, auroc, compute_values
 ValueScorer = Callable[[Dataset, LabeledPoint, Dataset, int], float]
 
 _LOG_LAMBDA_CAP = 700.0  # keeps exp() finite
+_VARIANCE_FLOOR = 1e-12  # keeps a population of equal scores from dividing by zero
 
 
 @dataclass(frozen=True)
 class MiaConfig:
     shadow_count: int = 32
     shadow_size: int | None = None  # defaults to the server dataset size
-    variance_floor: float = 1e-12
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.shadow_count < 2:
             raise ParameterError("at least two shadow datasets are required")
-        if self.variance_floor <= 0.0:
-            raise ParameterError("variance_floor must be positive")
         if self.seed < 0:
             raise ParameterError("seed must be nonnegative")
 
@@ -68,11 +66,10 @@ def likelihood_ratio(
     var_in: float,
     mu_out: float,
     var_out: float,
-    variance_floor: float = 1e-12,
 ) -> float:
     """Gaussian density ratio p(phi | IN) / p(phi | OUT), floored variances."""
-    v_in = max(var_in, variance_floor)
-    v_out = max(var_out, variance_floor)
+    v_in = max(var_in, _VARIANCE_FLOOR)
+    v_out = max(var_out, _VARIANCE_FLOOR)
     log_lam = 0.5 * (
         math.log(v_out / v_in)
         + (phi_obs - mu_out) ** 2 / v_out
@@ -116,7 +113,7 @@ def mia_score(
     mu_out = float(outs.mean())
     var_in = float(ins.var())
     var_out = float(outs.var())
-    lam = likelihood_ratio(phi_obs, mu_in, var_in, mu_out, var_out, cfg.variance_floor)
+    lam = likelihood_ratio(phi_obs, mu_in, var_in, mu_out, var_out)
     return MiaVerdict(lam, mu_in, mu_out, var_in, var_out, phi_obs)
 
 

@@ -276,10 +276,10 @@ def tknn_gather(table: np.ndarray, code: np.ndarray, out: np.ndarray | None = No
     return lookup.reshape(-1).take(index, out=out, mode="clip")
 
 
-def _descriptor(cfg: TknnConfig, num_classes: int, weight: str = "shapley") -> MethodDescriptor:
+def _descriptor(ds: Dataset, cfg: TknnConfig, weight: str = "shapley") -> MethodDescriptor:
     return MethodDescriptor(
         name="tknn-shapley" if weight == "shapley" else "tknn-semivalue",
-        num_classes=num_classes,
+        num_classes=ds.num_classes,
         metric=cfg.metric.value,
         tau=cfg.tau,
         weight=weight,
@@ -294,7 +294,6 @@ def tknn_tiled_sum(
     ds: Dataset,
     cfg: TknnConfig,
     dval: Dataset,
-    num_classes: int,
     threads: int = 1,
     sample: Callable[[int, int], np.ndarray] | None = None,
     release: Callable[..., Sequence[np.ndarray]] | None = None,
@@ -342,7 +341,7 @@ def tknn_tiled_sum(
         lo, code, triples = part
         if release is not None:
             triples = release(lo, *triples)
-        table = tknn_value_table(*triples, num_classes)
+        table = tknn_value_table(*triples, ds.num_classes)
         buffer = np.empty(len(code) * min(n, _COLUMN_TILE))  # one tile's score rows
         for c0, c1 in tiles:
             rows = buffer[: len(code) * (c1 - c0)].reshape(len(code), c1 - c0)
@@ -356,23 +355,21 @@ def tknn_shapley_single(
     ds: Dataset,
     cfg: TknnConfig,
     zval: LabeledPoint,
-    num_classes: int,
 ) -> ValuationResult:
     """Exact TKNN-Shapley for one validation point: the release on it alone."""
-    dval = Dataset(zval.features[None, :], [zval.label], num_classes)
-    return tknn_shapley_all(ds, cfg, dval, num_classes)
+    dval = Dataset(zval.features[None, :], [zval.label], ds.num_classes)
+    return tknn_shapley_all(ds, cfg, dval)
 
 
 def tknn_shapley_all(
     ds: Dataset,
     cfg: TknnConfig,
     dval: Dataset,
-    num_classes: int,
     threads: int = 1,
 ) -> ValuationResult:
     """Exact TKNN-Shapley summed over a validation set."""
-    total = tknn_tiled_sum(ds, cfg, dval, num_classes, threads)
-    return ValuationResult(total, _descriptor(cfg, num_classes), validation_size=dval.n)
+    total = tknn_tiled_sum(ds, cfg, dval, threads)
+    return ValuationResult(total, _descriptor(ds, cfg), validation_size=dval.n)
 
 
 DEFAULT_SEMIVALUE_GUARD = 1000
@@ -383,7 +380,6 @@ def tknn_semivalue_generic(
     cfg: TknnConfig,
     weight: SemivalueWeight,
     zval: LabeledPoint,
-    num_classes: int,
     max_n: int = DEFAULT_SEMIVALUE_GUARD,
 ) -> ValuationResult:
     """Semivalue with an arbitrary normalized weight, by direct summation.
@@ -391,16 +387,19 @@ def tknn_semivalue_generic(
     phi_i = 1[c_x >= 2] A1 (1/N) sum_k w(k+1) B(k)
           + (1[match] - 1/C) (1/N) sum_k w(k+1) C(N - c_x, k)
     with B(k) = C(N, k+1) - C(N - c_x, k+1) - c_x C(N - c_x, k), counts taken
-    on the leave-one-out dataset. Exact integer binomials keep the sums stable
-    up to the size guard; beyond that a weight-specific simplification (as
-    done for the Shapley weight) is required.
+    on the leave-one-out dataset; in 1/C, C is ``ds.num_classes``. Exact
+    integer binomials keep the sums stable up to the size guard; beyond that
+    a weight-specific simplification (as done for the Shapley weight) is
+    required.
     """
     n = ds.n
     if n > max_n:
         raise EnumerationLimitError(
             f"direct semivalue summation is guarded at N = {max_n}; got N = {n}"
         )
-    descriptor = _descriptor(cfg, num_classes, weight=weight.kind)
+    if not 0 <= zval.label < ds.num_classes:
+        raise ParameterError("the validation label must lie in [0, num_classes)")
+    descriptor = _descriptor(ds, cfg, weight=weight.kind)
     if n == 0:
         return ValuationResult(np.zeros(0), descriptor, validation_size=1)
     w = weight.values(n)
@@ -417,7 +416,7 @@ def tknn_semivalue_generic(
         s_base += w[k] * base
     s_inter, s_base = s_inter / n, s_base / n
     m = match[within].astype(np.float64)
-    value = (m - 1.0 / num_classes) * s_base
+    value = (m - 1.0 / ds.num_classes) * s_base
     if cxp >= 2:
         czp = int((within & match).sum()) - m  # c_z+ on the leave-one-out dataset
         value += (m / cxp - czp / (cxp * (cxp - 1.0))) * s_inter

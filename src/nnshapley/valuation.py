@@ -219,21 +219,13 @@ def subset_utilities(
     return values
 
 
-def enumerate_semivalue(
-    n: int,
-    value_of_mask: Callable[[int], float] | np.ndarray,
-    weights: np.ndarray,
-) -> np.ndarray:
-    """Exact semivalue of each player from per-bitmask utilities.
+def enumerate_semivalue(n: int, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Exact semivalue of each player from per-bitmask utilities ``values``.
 
     ``weights[k-1]`` is w(k); the Shapley value uses w(k) = 1/C(N-1, k-1).
     """
     if n == 0:
         return np.zeros(0)
-    if isinstance(value_of_mask, np.ndarray):
-        values = value_of_mask
-    else:
-        values = np.array([value_of_mask(mask) for mask in range(1 << n)])
     phi = np.zeros(n)
     for mask in range(1 << n):
         size = mask.bit_count()

@@ -76,6 +76,6 @@ def no_validation_chunks(monkeypatch) -> None:
     ds = dataset.generate_gaussian_synthetic(6, 2, seed=0)
     cfg = KnnConfig(1)
     with pytest.raises(AssertionError, match="validation_chunks called"):
-        knn_shapley_all(ds, cfg, ds, 2)
+        knn_shapley_all(ds, cfg, ds)
     with pytest.raises(AssertionError, match="validation_chunks called"):
-        dp_knn_shapley_all(ds, KnnConfig(1, variant="old"), ds, 2, DpParams(delta=1e-4, sigma=1.0))
+        dp_knn_shapley_all(ds, KnnConfig(1, variant="old"), ds, DpParams(delta=1e-4, sigma=1.0))

@@ -77,15 +77,15 @@ def test_criterion_1_oracle_equivalence():
         tau = pick_tau(rng, ds, zval, metric)
         zvals = [dval.point(i) for i in range(n_val)]
 
-        fast = tknn_shapley_all(ds, TknnConfig(tau, metric), dval, c)
+        fast = tknn_shapley_all(ds, TknnConfig(tau, metric), dval)
         oracle = sum(shapley_oracle(ds, tknn_utility(tau, c), z, metric).scores for z in zvals)
         worst = max(worst, float(np.max(np.abs(fast.scores - oracle), initial=0.0)))
 
-        refined = knn_shapley_all(ds, KnnConfig(k, metric, "refined"), dval, c)
+        refined = knn_shapley_all(ds, KnnConfig(k, metric, "refined"), dval)
         oracle = sum(shapley_oracle(ds, knn_soft_utility(k, c), z, metric).scores for z in zvals)
         worst = max(worst, float(np.max(np.abs(refined.scores - oracle))))
 
-        old = knn_shapley_all(ds, KnnConfig(k, metric, "old"), dval, c)
+        old = knn_shapley_all(ds, KnnConfig(k, metric, "old"), dval)
         oracle = sum(shapley_oracle(ds, knn_old_utility(k, c), z, metric).scores for z in zvals)
         worst = max(worst, float(np.max(np.abs(old.scores - oracle))))
         assert worst < 1e-9
@@ -145,9 +145,9 @@ def test_criterion_3_sensitivity_bounds():
         k = int(rng.integers(1, 11))
         ds, zval = make_instance(rng, n)
         cfg = KnnConfig(k, EUCLID, "old")
-        base = knn_shapley_single(ds, cfg, zval, 2).scores
+        base = knn_shapley_single(ds, cfg, zval).scores
         extra, _ = make_instance(rng, 1)
-        after = knn_shapley_single(ds.with_point(extra.point(0)), cfg, zval, 2).scores[:n]
+        after = knn_shapley_single(ds.with_point(extra.point(0)), cfg, zval).scores[:n]
         change = float(np.max(np.abs(after - base)))
         bound = 1.0 / (k * (k + 1))
         assert change <= bound + 1e-12
@@ -159,9 +159,9 @@ def test_criterion_3_sensitivity_bounds():
         ds = Dataset(feats, np.zeros(k, dtype=int), 2)
         zval = LabeledPoint(np.array([0.0]), 0)
         cfg = KnnConfig(k, EUCLID, "old")
-        before = knn_shapley_single(ds, cfg, zval, 2).scores[k - 1]
+        before = knn_shapley_single(ds, cfg, zval).scores[k - 1]
         after = knn_shapley_single(
-            ds.with_point(LabeledPoint(np.array([k + 0.5]), 0)), cfg, zval, 2
+            ds.with_point(LabeledPoint(np.array([k + 0.5]), 0)), cfg, zval
         ).scores[k - 1]
         assert abs(abs(before - after) - 1.0 / (k * (k + 1))) < 1e-12
 
@@ -172,8 +172,8 @@ def test_criterion_3_sensitivity_bounds():
         small = Dataset(np.array([[1.0]]), np.array([0]), 2)
         big = Dataset(np.array([[0.5], [1.0]]), np.array([0, 0]), 2)
         gap = abs(
-            knn_shapley_single(small, cfg, zval, 2).scores[0]
-            - knn_shapley_single(big, cfg, zval, 2).scores[1]
+            knn_shapley_single(small, cfg, zval).scores[0]
+            - knn_shapley_single(big, cfg, zval).scores[1]
         )
         assert gap >= 0.5 * (1.0 - 0.5) - 1e-12
 
@@ -199,9 +199,9 @@ def test_criterion_4_dp_degeneracy_and_reuse():
     cfg = TknnConfig(-0.3, NEGCOS)
     for n in (50, 500):
         ds = generate_gaussian_synthetic(n, 6, seed=n)
-        nonpriv = tknn_shapley_all(ds, cfg, dval, 2)
+        nonpriv = tknn_shapley_all(ds, cfg, dval)
         priv, audit = dp_tknn_shapley_all(
-            ds, cfg, dval, 2, DpParams(delta=1e-4, sigma=0.0, q=1.0, seed=1)
+            ds, cfg, dval, DpParams(delta=1e-4, sigma=0.0, q=1.0, seed=1)
         )
         assert np.array_equal(nonpriv.scores, priv.scores)
         assert len(audit) == dval.n and priv.method.dp["draws"] == 3 * dval.n

@@ -106,6 +106,23 @@ class TestValueCommand:
         assert code == 3
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command", [["value"], ["dp-value", "--method", "dp-tknn", "--sigma", "1.0"]]
+    )
+    def test_val_feature_count_differs_from_train_exits_3(
+        self, csv_pair, tmp_path, capsys, command
+    ):
+        # A data error, named in the files' terms, not the usage exit of a
+        # distance between vectors of unequal dimension.
+        train, _ = csv_pair
+        val = write_csv(tmp_path, "val3.csv", "1.0,0.0,0.5,0\n0.0,1.0,0.5,1\n")
+        out = tmp_path / "x.json"
+        code = run_cli(command + ["--train", train, "--val", val, "--output", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "val3.csv has 3 feature columns, " in err and "train.csv has 2" in err
+        assert not out.exists()
+
     def test_stray_label_warns_on_stderr(self, tmp_path):
         # A subprocess, so the warning reaches stderr as Python prints it by
         # default rather than pytest's warning capture.

@@ -2,6 +2,7 @@ import csv
 import threading
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -586,6 +587,40 @@ class TestDataset:
             Dataset(rng.standard_normal((3, 2)), [0, 1, 2], 2)  # label 2 out of range
         with pytest.raises(ParameterError):
             Dataset(rng.standard_normal((3, 2)), [0, 1, 0], 1)  # fewer than 2 classes
+
+    @pytest.mark.parametrize(
+        "labels", [[0.0, 1.5, 0.0], [0.0, np.nan, 1.0], [0.0, np.inf, 1.0], [-np.inf, 0, 1],
+                   [0.0, 1e300, 1.0]],
+    )
+    def test_non_integral_labels_rejected_without_a_warning(self, rng, labels):
+        # Not truncated to an integer, and no RuntimeWarning from casting NaN first.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="labels must"):
+                Dataset(rng.standard_normal((3, 2)), labels, 2)
+
+    def test_integral_float_labels_accepted(self, rng):
+        ds = Dataset(rng.standard_normal((3, 2)), [0.0, 1.0, 1.0], 2)
+        assert ds.labels.dtype == np.int64 and list(ds.labels) == [0, 1, 1]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, rng, value):
+        feats = rng.standard_normal((3, 2))
+        feats[1, 0] = value
+        with pytest.raises(ParameterError, match="finite"):
+            Dataset(feats, [0, 1, 0], 2)
+        with pytest.raises(ParameterError, match="finite"):
+            LabeledPoint(feats[1], 0)
+
+    @pytest.mark.parametrize("label", [2.7, np.float64(0.5), np.nan, np.inf])
+    def test_labeled_point_rejects_non_integral_labels(self, label):
+        with pytest.raises(ParameterError, match="not an integer"):
+            LabeledPoint(np.zeros(2), label)
+
+    @pytest.mark.parametrize("label", [1, np.int64(1), 1.0, np.float64(1.0), True])
+    def test_labeled_point_accepts_integral_labels(self, label):
+        point = LabeledPoint(np.zeros(2), label)
+        assert point.label == 1 and type(point.label) is int
 
     def test_immutability(self):
         ds = generate_gaussian_synthetic(5, 2, seed=1)

@@ -144,9 +144,9 @@ class TestDpTknn:
         ds = generate_gaussian_synthetic(80, 6, seed=1)
         dval = generate_gaussian_synthetic(9, 6, seed=2)
         cfg = TknnConfig(-0.3, NEGCOS)
-        nonpriv = tknn_shapley_all(ds, cfg, dval, 2)
+        nonpriv = tknn_shapley_all(ds, cfg, dval)
         priv_res, audit = dp_tknn_shapley_all(
-            ds, cfg, dval, 2, DpParams(delta=1e-4, sigma=0.0, q=1.0, seed=0)
+            ds, cfg, dval, DpParams(delta=1e-4, sigma=0.0, q=1.0, seed=0)
         )
         assert np.array_equal(nonpriv.scores, priv_res.scores)
         assert all(p.raw_noise_draws == (0.0, 0.0, 0.0) for p in audit)
@@ -157,9 +157,9 @@ class TestDpTknn:
         ds = generate_gaussian_synthetic(400, 6, seed=1)
         dval = generate_gaussian_synthetic(80, 6, seed=2)
         cfg = TknnConfig(-0.3, NEGCOS)
-        nonpriv = tknn_shapley_all(ds, cfg, dval, 2, threads=2)
+        nonpriv = tknn_shapley_all(ds, cfg, dval, threads=2)
         priv_res, _ = dp_tknn_shapley_all(
-            ds, cfg, dval, 2, DpParams(delta=1e-4, sigma=0.0, q=1.0, seed=0)
+            ds, cfg, dval, DpParams(delta=1e-4, sigma=0.0, q=1.0, seed=0)
         )
         assert np.array_equal(nonpriv.scores, priv_res.scores)
 
@@ -168,7 +168,7 @@ class TestDpTknn:
             ds = generate_gaussian_synthetic(n, 4, seed=1)
             dval = generate_gaussian_synthetic(6, 4, seed=2)
             res, audit = dp_tknn_shapley_all(
-                ds, TknnConfig(-0.2, NEGCOS), dval, 2,
+                ds, TknnConfig(-0.2, NEGCOS), dval,
                 DpParams(delta=1e-4, sigma=1.0, q=1.0, seed=3),
             )
             assert len(audit) == dval.n  # 3 Gaussian draws per entry
@@ -184,7 +184,7 @@ class TestDpTknn:
         dval = generate_gaussian_synthetic(7, 5, seed=5)
         cfg = TknnConfig(-0.4, NEGCOS)
         res, audit = dp_tknn_shapley_all(
-            ds, cfg, dval, 2, DpParams(delta=1e-4, sigma=3.0, q=1.0, seed=6)
+            ds, cfg, dval, DpParams(delta=1e-4, sigma=3.0, q=1.0, seed=6)
         )
         rebuilt = np.zeros(ds.n)
         for v in range(dval.n):
@@ -205,7 +205,7 @@ class TestDpTknn:
         dval = generate_gaussian_synthetic(7, 5, seed=5)
         cfg = TknnConfig(-0.4, NEGCOS)
         params = DpParams(delta=1e-4, sigma=3.0, q=0.5, seed=6)
-        res, audit = dp_tknn_shapley_all(ds, cfg, dval, 2, params)
+        res, audit = dp_tknn_shapley_all(ds, cfg, dval, params)
         rebuilt = np.zeros(ds.n)
         differs = False
         for v in range(dval.n):
@@ -241,7 +241,7 @@ class TestDpTknn:
                 for rows, cols in GEOMETRIES:
                     monkeypatch.setattr(tknn, "_ROW_GROUP", rows)
                     monkeypatch.setattr(tknn, "_COLUMN_TILE", cols)
-                    res, audit = dp_tknn_shapley_all(ds, cfg, dval, 2, params)
+                    res, audit = dp_tknn_shapley_all(ds, cfg, dval, params)
                     triples = [(p.counts.as_tuple(), p.raw_noise_draws) for p in audit]
                     first = runs.setdefault(sigma, (res.scores, triples))
                     assert np.array_equal(res.scores, first[0]) and triples == first[1]
@@ -255,15 +255,15 @@ class TestDpTknn:
         ds = generate_gaussian_synthetic(120, 4, seed=7)
         dval = generate_gaussian_synthetic(4, 4, seed=8)
         params = DpParams(delta=1e-4, sigma=1.5, q=0.2, seed=11)
-        a, _ = dp_tknn_shapley_all(ds, TknnConfig(-0.3, NEGCOS), dval, 2, params)
-        b, _ = dp_tknn_shapley_all(ds, TknnConfig(-0.3, NEGCOS), dval, 2, params)
+        a, _ = dp_tknn_shapley_all(ds, TknnConfig(-0.3, NEGCOS), dval, params)
+        b, _ = dp_tknn_shapley_all(ds, TknnConfig(-0.3, NEGCOS), dval, params)
         assert np.array_equal(a.scores, b.scores)
 
     def test_privatized_counts_always_valid(self):
         ds = generate_gaussian_synthetic(30, 3, seed=9)
         dval = generate_gaussian_synthetic(8, 3, seed=10)
         _, audit = dp_tknn_shapley_all(
-            ds, TknnConfig(-0.1, NEGCOS), dval, 2,
+            ds, TknnConfig(-0.1, NEGCOS), dval,
             DpParams(delta=1e-4, sigma=25.0, q=0.5, seed=12),
         )
         for p in audit:
@@ -283,7 +283,7 @@ class TestDpTknn:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res, audit = dp_tknn_shapley_all(
-                ds, cfg, dval, 2, DpParams(delta=1e-4, sigma=20.0, q=q, seed=15)
+                ds, cfg, dval, DpParams(delta=1e-4, sigma=20.0, q=q, seed=15)
             )
         assert np.all(np.isfinite(res.scores))
         if q == 1.0:  # the noised triples are the full-data ones; some were clamped
@@ -308,7 +308,7 @@ def _per_owner_subsampled_reference(ds, cfg, dval, num_classes, params):
             keep[i] = True  # the owner's own point is always present
             sub = ds.subset(keep)
             pos = int(np.searchsorted(np.flatnonzero(keep), i))
-            phi_i = knn_shapley_single(sub, cfg, zval, num_classes).scores[pos]
+            phi_i = knn_shapley_single(sub, cfg, zval).scores[pos]
             noise = float(noise_rng.normal(0.0, sigma)) if sigma > 0.0 else 0.0
             total[i] += phi_i + noise
     return total
@@ -341,7 +341,7 @@ class TestDpKnnBaseline:
                 q=(0.3, 0.7, 1.0)[case % 3],
                 seed=case,
             )
-            res = dp_knn_shapley_all(ds, cfg, dval, num_classes, params, subsampled=True)
+            res = dp_knn_shapley_all(ds, cfg, dval, params, subsampled=True)
             ref = _per_owner_subsampled_reference(ds, cfg, dval, num_classes, params)
             assert np.array_equal(res.scores, ref), case
 
@@ -351,7 +351,7 @@ class TestDpKnnBaseline:
         dval = generate_gaussian_synthetic(3, 3, seed=2)
         params = DpParams(delta=1e-4, sigma=0.1, q=0.5)
         with pytest.raises(ParameterError, match="empty dataset"):
-            dp_knn_shapley_all(ds, KnnConfig(3, EUCLID, "old"), dval, 2, params, subsampled)
+            dp_knn_shapley_all(ds, KnnConfig(3, EUCLID, "old"), dval, params, subsampled)
 
     def test_subsampled_over_chunks_only_reorders_the_sum(self, monkeypatch):
         monkeypatch.setattr(dataset, "_SCORE_CHUNK_ELEMS", 60)
@@ -360,7 +360,7 @@ class TestDpKnnBaseline:
         assert len(validation_chunks(dval.n, ds.n)) >= 3
         cfg = KnnConfig(3, NEGCOS, "old")
         params = DpParams(delta=1e-4, sigma=0.05, q=0.5, seed=3)
-        res = dp_knn_shapley_all(ds, cfg, dval, 2, params, subsampled=True)
+        res = dp_knn_shapley_all(ds, cfg, dval, params, subsampled=True)
         ref = _per_owner_subsampled_reference(ds, cfg, dval, 2, params)
         assert res.scores.tobytes() == ref.tobytes()
 
@@ -379,7 +379,7 @@ class TestDpKnnBaseline:
         scores = []
         for rows in (1, 3, 7, None):
             set_chunk_rows(monkeypatch, ds, rows)
-            res = dp_knn_shapley_all(ds, cfg, dval, 2, params, subsampled=subsampled)
+            res = dp_knn_shapley_all(ds, cfg, dval, params, subsampled=subsampled)
             scores.append(res.scores.tobytes())
         assert scores == scores[:1] * 4
 
@@ -390,8 +390,8 @@ class TestDpKnnBaseline:
         for metric in (EUCLID, NEGCOS):
             cfg = KnnConfig(3, metric, "old")
             params = DpParams(delta=1e-4, sigma=0.0, q=1.0, seed=6)
-            res = dp_knn_shapley_all(ds, cfg, dval, 2, params, subsampled=True)
-            assert np.array_equal(res.scores, knn_shapley_all(ds, cfg, dval, 2).scores)
+            res = dp_knn_shapley_all(ds, cfg, dval, params, subsampled=True)
+            assert np.array_equal(res.scores, knn_shapley_all(ds, cfg, dval).scores)
 
     def test_full_rate_draws_no_subsample(self, monkeypatch):
         # At q = 1 every mask keeps every point: the subsampled form is the
@@ -416,15 +416,15 @@ class TestDpKnnBaseline:
         for q, subsample_streams in ((1.0, 0), (0.5, ds.n * dval.n)):
             keys.clear()
             params = DpParams(delta=1e-4, sigma=0.2, q=q, seed=6)
-            res = dp_knn_shapley_all(ds, cfg, dval, 2, params, subsampled=True)
+            res = dp_knn_shapley_all(ds, cfg, dval, params, subsampled=True)
             assert sum(key[0] == TAG_SUBSAMPLE for key in keys) == subsample_streams
             noise_keys = [key for key in keys if key[0] == TAG_NOISE]
             assert noise_keys == [(TAG_NOISE, v) for v in range(dval.n)]
             assert res.method.name == "dp-knn-shapley-old-subsampled"
             assert res.method.dp == params.manifest(draws=ds.n * dval.n)
-        plain = dp_knn_shapley_all(ds, cfg, dval, 2, replace(params, q=1.0))
+        plain = dp_knn_shapley_all(ds, cfg, dval, replace(params, q=1.0))
         keys.clear()
-        full = dp_knn_shapley_all(ds, cfg, dval, 2, replace(params, q=1.0), subsampled=True)
+        full = dp_knn_shapley_all(ds, cfg, dval, replace(params, q=1.0), subsampled=True)
         assert np.array_equal(full.scores, plain.scores)
 
     def test_requires_old_variant(self):
@@ -432,7 +432,7 @@ class TestDpKnnBaseline:
         dval = generate_gaussian_synthetic(2, 2, seed=2)
         with pytest.raises(ParameterError):
             dp_knn_shapley_all(
-                ds, KnnConfig(3, EUCLID, "refined"), dval, 2,
+                ds, KnnConfig(3, EUCLID, "refined"), dval,
                 DpParams(delta=1e-4, sigma=0.1),
             )
 
@@ -440,15 +440,15 @@ class TestDpKnnBaseline:
         ds = generate_gaussian_synthetic(40, 4, seed=1)
         dval = generate_gaussian_synthetic(6, 4, seed=2)
         cfg = KnnConfig(5, NEGCOS, "old")
-        nonpriv = knn_shapley_all(ds, cfg, dval, 2)
-        priv = dp_knn_shapley_all(ds, cfg, dval, 2, DpParams(delta=1e-4, sigma=0.0, seed=3))
+        nonpriv = knn_shapley_all(ds, cfg, dval)
+        priv = dp_knn_shapley_all(ds, cfg, dval, DpParams(delta=1e-4, sigma=0.0, seed=3))
         assert np.array_equal(nonpriv.scores, priv.scores)
 
     def test_draw_count_is_n_times_nval(self):
         ds = generate_gaussian_synthetic(25, 3, seed=1)
         dval = generate_gaussian_synthetic(4, 3, seed=2)
         res = dp_knn_shapley_all(
-            ds, KnnConfig(2, EUCLID, "old"), dval, 2, DpParams(delta=1e-4, sigma=0.5, seed=3)
+            ds, KnnConfig(2, EUCLID, "old"), dval, DpParams(delta=1e-4, sigma=0.5, seed=3)
         )
         assert res.method.dp["draws"] == 25 * 4
 
@@ -457,8 +457,8 @@ class TestDpKnnBaseline:
         dval = generate_gaussian_synthetic(3, 3, seed=2)
         cfg = KnnConfig(3, EUCLID, "old")
         params = DpParams(delta=1e-4, sigma=0.1, q=0.5, seed=3)
-        assert dp_knn_shapley_all(ds, cfg, dval, 2, params).method.dp["q"] == 1.0
-        sub = dp_knn_shapley_all(ds, cfg, dval, 2, params, subsampled=True)
+        assert dp_knn_shapley_all(ds, cfg, dval, params).method.dp["q"] == 1.0
+        sub = dp_knn_shapley_all(ds, cfg, dval, params, subsampled=True)
         assert sub.method.dp["q"] == 0.5
 
     def test_subsampled_baseline_runs_and_degenerates(self):
@@ -466,9 +466,9 @@ class TestDpKnnBaseline:
         dval = generate_gaussian_synthetic(3, 3, seed=2)
         cfg = KnnConfig(3, EUCLID, "old")
         res = dp_knn_shapley_all(
-            ds, cfg, dval, 2, DpParams(delta=1e-4, sigma=0.0, q=1.0, seed=3), subsampled=True
+            ds, cfg, dval, DpParams(delta=1e-4, sigma=0.0, q=1.0, seed=3), subsampled=True
         )
-        nonpriv = knn_shapley_all(ds, cfg, dval, 2)
+        nonpriv = knn_shapley_all(ds, cfg, dval)
         # q = 1 keeps every point, so zero noise reduces to the plain scores.
         assert np.allclose(res.scores, nonpriv.scores, atol=1e-12)
 
@@ -493,10 +493,10 @@ class TestSensitivity:
             k = int(rng.integers(1, 8))
             ds, zval = make_instance(rng, n)
             cfg = KnnConfig(k, EUCLID, "old")
-            base = knn_shapley_single(ds, cfg, zval, 2).scores
+            base = knn_shapley_single(ds, cfg, zval).scores
             extra, _ = make_instance(rng, 1)
             bigger = ds.with_point(extra.point(0))
-            after = knn_shapley_single(bigger, cfg, zval, 2).scores[:n]
+            after = knn_shapley_single(bigger, cfg, zval).scores[:n]
             change = float(np.max(np.abs(after - base)))
             assert change <= 1 / (k * (k + 1)) + 1e-12
 
@@ -508,9 +508,9 @@ class TestSensitivity:
         ds = Dataset(feats, np.zeros(k, dtype=int), 2)
         zval = LabeledPoint(np.array([0.0]), 0)
         cfg = KnnConfig(k, EUCLID, "old")
-        before = knn_shapley_single(ds, cfg, zval, 2).scores[k - 1]
+        before = knn_shapley_single(ds, cfg, zval).scores[k - 1]
         bigger = ds.with_point(LabeledPoint(np.array([float(k) + 0.5]), 0))
-        after = knn_shapley_single(bigger, cfg, zval, 2).scores[k - 1]
+        after = knn_shapley_single(bigger, cfg, zval).scores[k - 1]
         assert abs(before - after) == pytest.approx(1 / (k * (k + 1)), abs=1e-15)
 
     @pytest.mark.parametrize("k", [1, 2, 4])
@@ -523,6 +523,6 @@ class TestSensitivity:
         cfg = KnnConfig(k, EUCLID, "refined")
         small = Dataset(z2.features[None, :], np.array([z2.label]), 2)
         big = Dataset(np.vstack([z1.features, z2.features]), np.array([0, 0]), 2)
-        phi_small = knn_shapley_single(small, cfg, zval, 2).scores[0]
-        phi_big = knn_shapley_single(big, cfg, zval, 2).scores[1]
+        phi_small = knn_shapley_single(small, cfg, zval).scores[0]
+        phi_big = knn_shapley_single(big, cfg, zval).scores[1]
         assert abs(phi_small - phi_big) >= 0.5 * (1 - 0.5) - 1e-12

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from nnshapley.dataset import DistanceMetric, flip_labels, generate_gaussian_synthetic
+from nnshapley import dataset, knn, tknn
+from nnshapley.dataset import Dataset, DistanceMetric, flip_labels, generate_gaussian_synthetic
 from nnshapley.dp import DpParams, dp_knn_shapley_all, dp_tknn_shapley_all
 from nnshapley.errors import ParameterError
 from nnshapley.evaluation import (
@@ -59,28 +60,28 @@ _DP = DpParams(delta=1e-4, sigma=0.3, q=0.5, seed=4)
 REGISTRY_CASES = {
     "tknn": (
         MethodConfig("tknn", tau=-0.4),
-        lambda t, v: tknn_shapley_all(t, TknnConfig(-0.4), v, 2),
+        lambda t, v: tknn_shapley_all(t, TknnConfig(-0.4), v),
     ),
     "knn": (
         MethodConfig("knn", k=3),
-        lambda t, v: knn_shapley_all(t, KnnConfig(3, NEGCOS, "refined"), v, 2),
+        lambda t, v: knn_shapley_all(t, KnnConfig(3, NEGCOS, "refined"), v),
     ),
     "knn-old": (
         MethodConfig("knn-old", k=3),
-        lambda t, v: knn_shapley_all(t, KnnConfig(3, NEGCOS, "old"), v, 2),
+        lambda t, v: knn_shapley_all(t, KnnConfig(3, NEGCOS, "old"), v),
     ),
     "dp-tknn": (
         MethodConfig("dp-tknn", tau=-0.4, dp=_DP),
-        lambda t, v: dp_tknn_shapley_all(t, TknnConfig(-0.4), v, 2, _DP)[0],
+        lambda t, v: dp_tknn_shapley_all(t, TknnConfig(-0.4), v, _DP)[0],
     ),
     "dp-knn": (
         MethodConfig("dp-knn", k=3, dp=_DP),
-        lambda t, v: dp_knn_shapley_all(t, KnnConfig(3, NEGCOS, "old"), v, 2, _DP),
+        lambda t, v: dp_knn_shapley_all(t, KnnConfig(3, NEGCOS, "old"), v, _DP),
     ),
     "dp-knn-subsampled": (
         MethodConfig("dp-knn", k=3, dp=_DP, dp_subsampled=True),
         lambda t, v: dp_knn_shapley_all(
-            t, KnnConfig(3, NEGCOS, "old"), v, 2, _DP, subsampled=True
+            t, KnnConfig(3, NEGCOS, "old"), v, _DP, subsampled=True
         ),
     ),
 }
@@ -127,6 +128,28 @@ class TestMethodConfig:
         method, _ = REGISTRY_CASES[name]
         with pytest.raises(ParameterError, match="validation set"):
             compute_values(train, empty, method)
+
+    @pytest.mark.parametrize("name", list(REGISTRY_CASES))
+    def test_validation_set_of_another_class_count_rejected_before_distances(
+        self, name, monkeypatch
+    ):
+        # The utilities score an empty neighbourhood 1/C with the training
+        # set's C, so a validation set declaring another C is malformed input.
+        def no_distances(*args, **kwargs):
+            raise AssertionError("distances computed")
+
+        for module in (dataset, knn, tknn):
+            monkeypatch.setattr(module, "distance_matrix", no_distances)
+        monkeypatch.setattr(dataset, "training_norms", no_distances)
+        train = generate_gaussian_synthetic(20, 3, seed=1)
+        dval = generate_gaussian_synthetic(4, 3, seed=2)
+        method, direct = REGISTRY_CASES[name]
+        with pytest.raises(AssertionError, match="distances computed"):
+            compute_values(train, dval, method)  # the patches are live
+        dval = Dataset(dval.features, dval.labels, 5)
+        for run in (lambda: compute_values(train, dval, method), lambda: direct(train, dval)):
+            with pytest.raises(ParameterError, match="declares 5 classes, training set 2"):
+                run()
 
     def test_registry_covers_every_case(self):
         assert {method.name for method, _ in REGISTRY_CASES.values()} == set(METHODS)

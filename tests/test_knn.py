@@ -48,10 +48,10 @@ def sorted_label_instance(labels, zval_label=0):
 class TestRefinedRecursion:
     def test_single_point_base_case(self):
         ds, zval = sorted_label_instance([0])
-        res = knn_shapley_single(ds, KnnConfig(5, EUCLID, "refined"), zval, 2)
+        res = knn_shapley_single(ds, KnnConfig(5, EUCLID, "refined"), zval)
         assert res.scores[0] == pytest.approx(1 - 0.5)
         ds2, zval2 = sorted_label_instance([1])
-        res2 = knn_shapley_single(ds2, KnnConfig(5, EUCLID, "refined"), zval2, 2)
+        res2 = knn_shapley_single(ds2, KnnConfig(5, EUCLID, "refined"), zval2)
         assert res2.scores[0] == pytest.approx(0 - 0.5)
 
     def test_three_point_hand_unrolled(self):
@@ -59,7 +59,7 @@ class TestRefinedRecursion:
         # recursion by hand gives (2/3, -1/3, 1/6), which sums to
         # v(D) - v(empty) = 1 - 1/2.
         ds, zval = sorted_label_instance([0, 1, 0])
-        res = knn_shapley_single(ds, KnnConfig(1, EUCLID, "refined"), zval, 2)
+        res = knn_shapley_single(ds, KnnConfig(1, EUCLID, "refined"), zval)
         assert res.scores == pytest.approx([2 / 3, -1 / 3, 1 / 6], abs=1e-12)
         oracle = shapley_oracle(ds, knn_soft_utility(1, 2), zval, EUCLID)
         assert res.scores == pytest.approx(oracle.scores, abs=1e-12)
@@ -70,14 +70,14 @@ class TestRefinedRecursion:
             k = int(rng.integers(1, 6))
             c = int(rng.integers(2, 4))
             ds, zval = make_instance(rng, n, num_classes=c)
-            res = knn_shapley_single(ds, KnnConfig(k, EUCLID, "refined"), zval, c)
+            res = knn_shapley_single(ds, KnnConfig(k, EUCLID, "refined"), zval)
             v_full = utility(knn_soft_utility(k, c), ds, zval, EUCLID)
             assert res.scores.sum() == pytest.approx(v_full - 1 / c, abs=1e-9)
 
     def test_empty_dataset_rejected(self):
         ds = Dataset(np.zeros((0, 1)), np.zeros(0, dtype=int), 2)
         with pytest.raises(ParameterError):
-            knn_shapley_single(ds, KnnConfig(1, EUCLID), LabeledPoint(np.zeros(1), 0), 2)
+            knn_shapley_single(ds, KnnConfig(1, EUCLID), LabeledPoint(np.zeros(1), 0))
 
 
 class TestOldRecursion:
@@ -85,7 +85,7 @@ class TestOldRecursion:
     def test_small_n_closed_form(self, rng, n, k):
         # For N <= K every point is worth exactly 1[match] / K.
         ds, zval = make_instance(rng, n)
-        res = knn_shapley_single(ds, KnnConfig(k, EUCLID, "old"), zval, 2)
+        res = knn_shapley_single(ds, KnnConfig(k, EUCLID, "old"), zval)
         expected = (ds.labels == zval.label).astype(float) / k
         assert res.scores == pytest.approx(expected, abs=1e-12)
 
@@ -94,7 +94,7 @@ class TestOldRecursion:
             n = int(rng.integers(1, 12))
             k = int(rng.integers(1, 6))
             ds, zval = make_instance(rng, n)
-            res = knn_shapley_single(ds, KnnConfig(k, EUCLID, "old"), zval, 2)
+            res = knn_shapley_single(ds, KnnConfig(k, EUCLID, "old"), zval)
             v_full = utility(knn_old_utility(k, 2), ds, zval, EUCLID)
             assert res.scores.sum() == pytest.approx(v_full, abs=1e-9)
 
@@ -107,10 +107,10 @@ class TestOracleEquivalence:
             k = int(rng.integers(1, 6))
             c = int(rng.integers(2, 4))
             ds, zval = make_instance(rng, n, num_classes=c)
-            refined = knn_shapley_single(ds, KnnConfig(k, metric, "refined"), zval, c)
+            refined = knn_shapley_single(ds, KnnConfig(k, metric, "refined"), zval)
             oracle_soft = shapley_oracle(ds, knn_soft_utility(k, c), zval, metric)
             assert np.max(np.abs(refined.scores - oracle_soft.scores)) < 1e-9
-            old = knn_shapley_single(ds, KnnConfig(k, metric, "old"), zval, c)
+            old = knn_shapley_single(ds, KnnConfig(k, metric, "old"), zval)
             oracle_old = shapley_oracle(ds, knn_old_utility(k, c), zval, metric)
             assert np.max(np.abs(old.scores - oracle_old.scores)) < 1e-9
 
@@ -125,9 +125,9 @@ class TestValidationSet:
         for metric, variant in itertools.product((EUCLID, NEGCOS), ("refined", "old")):
             cfg = KnnConfig(3, metric, variant)
             for v, zval in enumerate(dval.points()):
-                single = knn_shapley_single(ds, cfg, zval, 2).scores
-                release = knn_shapley_all(ds, cfg, dval.subset([v]), 2).scores
-                kernel = knn_score_matrix(ds, cfg, zval.features[None, :], [zval.label], 2)[0]
+                single = knn_shapley_single(ds, cfg, zval).scores
+                release = knn_shapley_all(ds, cfg, dval.subset([v])).scores
+                kernel = knn_score_matrix(ds, cfg, zval.features[None, :], [zval.label])[0]
                 assert single.tobytes() == release.tobytes() == kernel.tobytes(), (metric, variant)
 
     @pytest.mark.parametrize(
@@ -141,14 +141,14 @@ class TestValidationSet:
         # The one-point validation set checks the label as every Dataset does.
         ds, zval = make_instance(rng, 5)
         with pytest.raises(ParameterError, match="num_classes"):
-            single(ds, cfg, LabeledPoint(zval.features, 2), 2)
+            single(ds, cfg, LabeledPoint(zval.features, 2))
 
     def test_matches_aggregate_of_singles(self, rng):
         ds, _ = make_instance(rng, 9)
         dval, _ = make_instance(rng, 5)
         cfg = KnnConfig(2, EUCLID)
-        all_res = knn_shapley_all(ds, cfg, dval, 2)
-        singles = [knn_shapley_single(ds, cfg, dval.point(i), 2) for i in range(dval.n)]
+        all_res = knn_shapley_all(ds, cfg, dval)
+        singles = [knn_shapley_single(ds, cfg, dval.point(i)) for i in range(dval.n)]
         agg = aggregate_over_validation(singles)
         assert np.max(np.abs(all_res.scores - agg.scores)) < 1e-12
         assert all_res.validation_size == dval.n
@@ -157,7 +157,7 @@ class TestValidationSet:
         ds, _ = make_instance(rng, 7)
         dval, _ = make_instance(rng, 3)
         for k in (1, 2, 3):
-            all_res = knn_shapley_all(ds, KnnConfig(k, EUCLID), dval, 2)
+            all_res = knn_shapley_all(ds, KnnConfig(k, EUCLID), dval)
             total = sum(
                 shapley_oracle(ds, knn_soft_utility(k, 2), dval.point(i), EUCLID).scores
                 for i in range(dval.n)
@@ -168,14 +168,14 @@ class TestValidationSet:
         ds, _ = make_instance(rng, 5)
         empty = Dataset(np.zeros((0, 3)), np.zeros(0, dtype=int), 2)
         with pytest.raises(ParameterError):
-            knn_shapley_all(ds, KnnConfig(1, EUCLID), empty, 2)
+            knn_shapley_all(ds, KnnConfig(1, EUCLID), empty)
 
     def test_threads_match_sequential(self):
         ds = generate_gaussian_synthetic(300, 4, seed=3)
         dval = generate_gaussian_synthetic(40, 4, seed=4)
         cfg = KnnConfig(5, NEGCOS)
-        seq = knn_shapley_all(ds, cfg, dval, 2, threads=1)
-        par = knn_shapley_all(ds, cfg, dval, 2, threads=4)
+        seq = knn_shapley_all(ds, cfg, dval, threads=1)
+        par = knn_shapley_all(ds, cfg, dval, threads=4)
         assert np.array_equal(seq.scores, par.scores)
 
 
@@ -183,10 +183,10 @@ class TestPermutationInvariance:
     def test_owner_keyed_scores_stable_under_shuffle(self, rng):
         ds, zval = make_instance(rng, 12)
         cfg = KnnConfig(3, EUCLID)
-        base = knn_shapley_single(ds, cfg, zval, 2).scores
+        base = knn_shapley_single(ds, cfg, zval).scores
         perm = rng.permutation(12)
         shuffled = Dataset(ds.features[perm], ds.labels[perm], 2)
-        res = knn_shapley_single(shuffled, cfg, zval, 2).scores
+        res = knn_shapley_single(shuffled, cfg, zval).scores
         # scores keyed by owner: res[i] belongs to original index perm[i]
         assert np.max(np.abs(res - base[perm])) < 1e-12
 
@@ -211,8 +211,8 @@ class TestPermutationInvariance:
             (KnnConfig(4, metric, variant), knn_shapley_all) for variant in ("refined", "old")
         ]
         for cfg, value_all in pairs:
-            base = value_all(ds, cfg, dval, 2).scores
-            moved = value_all(ds, cfg, shuffled, 2).scores
+            base = value_all(ds, cfg, dval).scores
+            moved = value_all(ds, cfg, shuffled).scores
             assert np.allclose(moved, base, rtol=0, atol=1e-12)
 
 
@@ -284,7 +284,7 @@ class TestTieOrder:
             cfg = KnnConfig(3, metric, variant)
             expected = stable_reference(ds, cfg, dval, 3)
             for threads in (1, 2):
-                got = knn_shapley_all(ds, cfg, dval, 3, threads=threads).scores
+                got = knn_shapley_all(ds, cfg, dval, threads=threads).scores
                 assert got.tobytes() == expected.tobytes()
 
 
@@ -297,7 +297,7 @@ class TestInvariance:
         ds = Dataset(np.vstack([base, base[src]]), np.concatenate([labels, labels[src]]), 2)
         dval = generate_gaussian_synthetic(12, 4, seed=5)
         for variant in ("refined", "old"):
-            scores = knn_shapley_all(ds, KnnConfig(4, metric, variant), dval, 2).scores
+            scores = knn_shapley_all(ds, KnnConfig(4, metric, variant), dval).scores
             for j, i in enumerate(src):
                 assert scores[30 + j].tobytes() == scores[i].tobytes()
 
@@ -305,9 +305,9 @@ class TestInvariance:
         ds, dval = tied_instance(rng)
         for variant in ("refined", "old"):
             cfg = KnnConfig(3, EUCLID, variant)
-            chunk = knn_score_matrix(ds, cfg, dval.features, dval.labels, 3)
+            chunk = knn_score_matrix(ds, cfg, dval.features, dval.labels)
             for v in range(dval.n):
-                row = knn_score_matrix(ds, cfg, dval.features[v : v + 1], dval.labels[v : v + 1], 3)
+                row = knn_score_matrix(ds, cfg, dval.features[v : v + 1], dval.labels[v : v + 1])
                 assert row[0].tobytes() == chunk[v].tobytes()
 
 
@@ -342,7 +342,7 @@ class TestChunkInvariance:
                 reference = expected if reference is None else reference
                 assert expected.tobytes() == reference.tobytes(), (ds.n, rows)
                 for threads in (1, 2, 3):
-                    got = knn_shapley_all(ds, cfg, dval, 3, threads=threads).scores
+                    got = knn_shapley_all(ds, cfg, dval, threads=threads).scores
                     assert got.tobytes() == expected.tobytes(), (ds.n, rows, threads)
 
 
@@ -357,7 +357,7 @@ def test_peak_memory_does_not_grow_with_the_validation_set():
     matrix_bytes = dval.n * ds.n * 8
     tracemalloc.start()
     try:
-        knn_shapley_all(ds, KnnConfig(5, NEGCOS), dval, 2, threads=1)
+        knn_shapley_all(ds, KnnConfig(5, NEGCOS), dval, threads=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -375,7 +375,7 @@ def test_euclidean_peak_memory_does_not_grow_with_the_validation_set():
     matrix_bytes = dval.n * ds.n * 8
     tracemalloc.start()
     try:
-        knn_shapley_all(ds, KnnConfig(5, EUCLID), dval, 2, threads=1)
+        knn_shapley_all(ds, KnnConfig(5, EUCLID), dval, threads=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -58,7 +58,7 @@ class TestLikelihoodRatio:
             assert lam_t == pytest.approx(lam, rel=1e-9)
 
     def test_variance_floor_prevents_blowup(self):
-        lam = likelihood_ratio(0.0, 0.0, 0.0, 1.0, 0.0, variance_floor=1e-12)
+        lam = likelihood_ratio(0.0, 0.0, 0.0, 1.0, 0.0)
         assert np.isfinite(lam)
 
 
@@ -134,8 +134,6 @@ class TestMiaScore:
     def test_config_validation(self):
         with pytest.raises(ParameterError):
             MiaConfig(shadow_count=1)
-        with pytest.raises(ParameterError):
-            MiaConfig(variance_floor=0.0)
         with pytest.raises(ParameterError, match="seed"):
             MiaConfig(seed=-1)
 

@@ -1,10 +1,12 @@
 """The package's public names and the README's library example."""
 
+import inspect
 import re
 import types
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import nnshapley
 
@@ -36,6 +38,17 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public == PUBLIC_NAMES
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "knn_shapley_all", "knn_shapley_single", "tknn_shapley_all", "tknn_shapley_single",
+        "tknn_semivalue_generic", "dp_tknn_shapley_all", "dp_knn_shapley_all",
+    ],
+)
+def test_releases_take_the_class_count_from_the_dataset(name):
+    assert "num_classes" not in inspect.signature(getattr(nnshapley, name)).parameters
 
 
 def test_readme_library_example_runs():

@@ -73,7 +73,7 @@ class TestCounts:
         ds = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 2)
         zval = LabeledPoint(np.zeros(2), 0)
         assert counts_full(ds, TknnConfig(1.0, EUCLID), zval).as_tuple() == (0, 1, 0)
-        assert tknn_shapley_single(ds, TknnConfig(1.0, EUCLID), zval, 2).scores.shape == (0,)
+        assert tknn_shapley_single(ds, TknnConfig(1.0, EUCLID), zval).scores.shape == (0,)
 
     def test_single_matching_neighbor(self):
         ds = Dataset(np.array([[0.5, 0.0]]), np.array([1]), 2)
@@ -136,7 +136,7 @@ class TestClosedForm:
             metric = EUCLID if rng.random() < 0.5 else NEGCOS
             ds, zval = make_instance(rng, n, num_classes=c)
             cfg = TknnConfig(pick_tau(rng, ds, zval, metric), metric)
-            fast = tknn_shapley_single(ds, cfg, zval, c)
+            fast = tknn_shapley_single(ds, cfg, zval)
             if n == 0:
                 assert fast.scores.shape == (0,)
                 continue
@@ -148,7 +148,7 @@ class TestClosedForm:
         for _ in range(20):
             ds, zval = make_instance(rng, int(rng.integers(2, 10)))
             cfg = TknnConfig(pick_tau(rng, ds, zval, EUCLID), EUCLID)
-            scores = tknn_shapley_single(ds, cfg, zval, 2).scores
+            scores = tknn_shapley_single(ds, cfg, zval).scores
             within = distances_to(EUCLID, ds.features, zval.features) <= cfg.tau
             match = ds.labels == zval.label
             assert np.all(scores[within & match] > 0)
@@ -159,7 +159,7 @@ class TestClosedForm:
         ds, _ = make_instance(rng, 8)
         far = Dataset(ds.features + 100.0, ds.labels, 2)
         dval = Dataset(np.zeros((3, 3)), np.zeros(3, dtype=int), 2)
-        res = tknn_shapley_all(far, TknnConfig(1.0, EUCLID), dval, 2)
+        res = tknn_shapley_all(far, TknnConfig(1.0, EUCLID), dval)
         assert np.array_equal(res.scores, np.zeros(8))
 
     def test_per_validation_point_efficiency(self, rng):
@@ -168,7 +168,7 @@ class TestClosedForm:
             c = int(rng.integers(2, 4))
             ds, zval = make_instance(rng, n, num_classes=c)
             cfg = TknnConfig(pick_tau(rng, ds, zval, EUCLID), EUCLID)
-            scores = tknn_shapley_single(ds, cfg, zval, c).scores
+            scores = tknn_shapley_single(ds, cfg, zval).scores
             v_full = utility(tknn_utility(cfg.tau, c), ds, zval, EUCLID)
             assert scores.sum() == pytest.approx(v_full - 1 / c, abs=1e-9)
 
@@ -182,8 +182,8 @@ class TestClosedForm:
         dval = generate_gaussian_synthetic(3, 5, seed=6)
         cfg = TknnConfig(-0.3 if metric is NEGCOS else 2.5, metric)
         for v, zval in enumerate(dval.points()):
-            single = tknn_shapley_single(ds, cfg, zval, 2).scores
-            release = tknn_shapley_all(ds, cfg, dval.subset([v]), 2).scores
+            single = tknn_shapley_single(ds, cfg, zval).scores
+            release = tknn_shapley_all(ds, cfg, dval.subset([v])).scores
             assert single.tobytes() == release.tobytes()
             full = counts_full(ds, cfg, zval)
             inside = distances_to(metric, ds.features, zval.features) <= cfg.tau
@@ -198,8 +198,8 @@ class TestClosedForm:
         ds, _ = make_instance(rng, 9)
         dval, _ = make_instance(rng, 4)
         cfg = TknnConfig(1.2, EUCLID)
-        total = tknn_shapley_all(ds, cfg, dval, 2)
-        summed = sum(tknn_shapley_single(ds, cfg, dval.point(i), 2).scores for i in range(dval.n))
+        total = tknn_shapley_all(ds, cfg, dval)
+        summed = sum(tknn_shapley_single(ds, cfg, dval.point(i)).scores for i in range(dval.n))
         assert np.max(np.abs(total.scores - summed)) < 1e-12
 
     def test_thread_count_does_not_change_scores(self, monkeypatch):
@@ -207,8 +207,8 @@ class TestClosedForm:
         ds = generate_gaussian_synthetic(400, 5, seed=3)
         dval = generate_gaussian_synthetic(80, 5, seed=4)
         cfg = TknnConfig(-0.2, NEGCOS)
-        one = tknn_shapley_all(ds, cfg, dval, 2, threads=1).scores
-        two = tknn_shapley_all(ds, cfg, dval, 2, threads=2).scores
+        one = tknn_shapley_all(ds, cfg, dval, threads=1).scores
+        two = tknn_shapley_all(ds, cfg, dval, threads=2).scores
         assert np.array_equal(one, two)
 
 
@@ -225,9 +225,10 @@ def set_geometry(monkeypatch, rows, cols):
 
 def duplicated_instance(metric, n=200, d=5):
     """n + 2 training points with copies; 13 validation points repeated to 37
-    rows, so copies sit in different row groups and at different rows of a group."""
+    rows, so copies sit in different row groups and at different rows of a group.
+    The training labels are 0 and 1 of 3 declared classes, as the validation set's."""
     ds = generate_gaussian_synthetic(n, d, seed=21)
-    ds = ds.subset(np.r_[np.arange(n), 3, 150])
+    ds = Dataset(ds.features, ds.labels, 3).subset(np.r_[np.arange(n), 3, 150])
     base = generate_gaussian_synthetic(13, d, seed=22)
     base = Dataset(base.features, np.arange(13) % 3, 3)
     order = np.r_[np.arange(13), np.arange(13)[::-1], [0, 5, 5, 12, 3, 3, 7, 0, 9, 1, 1]]
@@ -237,7 +238,7 @@ def duplicated_instance(metric, n=200, d=5):
 
 def single_rows(ds, cfg, dval):
     """Each validation point's score row, from the single-point entry."""
-    return np.array([tknn_shapley_single(ds, cfg, z, 3).scores for z in dval.points()])
+    return np.array([tknn_shapley_single(ds, cfg, z).scores for z in dval.points()])
 
 
 def row_ordered_sum(rows):
@@ -255,7 +256,7 @@ class TestTiledPass:
         expected = row_ordered_sum(single_rows(ds, cfg, dval))
         for rows, cols in GEOMETRIES:
             set_geometry(monkeypatch, rows, cols)
-            assert np.array_equal(tknn_shapley_all(ds, cfg, dval, 3).scores, expected)
+            assert np.array_equal(tknn_shapley_all(ds, cfg, dval).scores, expected)
 
     def test_scores_do_not_depend_on_geometry_chunking_or_threads(
         self, monkeypatch, no_validation_chunks, metric
@@ -265,11 +266,11 @@ class TestTiledPass:
         for shape in ((200, 5), (1198, 10)):
             ds, base, order, cfg = duplicated_instance(metric, *shape)
             dval = base.subset(order)
-            reference = tknn_shapley_all(ds, cfg, dval, 3).scores
+            reference = tknn_shapley_all(ds, cfg, dval).scores
             for rows, cols in GEOMETRIES:
                 set_geometry(monkeypatch, rows, cols)
                 for threads in (1, 2, 3):
-                    scores = tknn_shapley_all(ds, cfg, dval, 3, threads).scores
+                    scores = tknn_shapley_all(ds, cfg, dval, threads).scores
                     assert np.array_equal(scores, reference), (shape, rows, cols, threads)
 
     def test_duplicate_validation_rows_contribute_identically(self, monkeypatch, metric):
@@ -279,7 +280,7 @@ class TestTiledPass:
         for rows, cols in GEOMETRIES:
             set_geometry(monkeypatch, rows, cols)
             for threads in (1, 2):
-                scores = tknn_shapley_all(ds, cfg, base.subset(order), 3, threads).scores
+                scores = tknn_shapley_all(ds, cfg, base.subset(order), threads).scores
                 assert np.array_equal(scores, expected), (rows, cols, threads)
 
 
@@ -304,9 +305,9 @@ def test_peak_memory_stays_far_below_one_score_matrix(large_instance, private):
     tracemalloc.start()
     try:
         if private:
-            dp_tknn_shapley_all(ds, cfg, dval, 2, DpParams(delta=1e-5, sigma=1.0, q=0.5, seed=3))
+            dp_tknn_shapley_all(ds, cfg, dval, DpParams(delta=1e-5, sigma=1.0, q=0.5, seed=3))
         else:
-            tknn_shapley_all(ds, cfg, dval, 2)
+            tknn_shapley_all(ds, cfg, dval)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -457,8 +458,8 @@ class TestGenericSemivalue:
         for n in (1, 5, 20, 50):
             ds, zval = make_instance(rng, n)
             cfg = TknnConfig(pick_tau(rng, ds, zval, EUCLID), EUCLID)
-            generic = tknn_semivalue_generic(ds, cfg, shapley_weight(), zval, 2)
-            closed = tknn_shapley_single(ds, cfg, zval, 2)
+            generic = tknn_semivalue_generic(ds, cfg, shapley_weight(), zval)
+            closed = tknn_shapley_single(ds, cfg, zval)
             scale = max(1.0, float(np.max(np.abs(closed.scores))))
             assert np.max(np.abs(generic.scores - closed.scores)) / scale < 1e-6
 
@@ -467,7 +468,7 @@ class TestGenericSemivalue:
             n = int(rng.integers(1, 9))
             ds, zval = make_instance(rng, n)
             cfg = TknnConfig(pick_tau(rng, ds, zval, EUCLID), EUCLID)
-            generic = tknn_semivalue_generic(ds, cfg, banzhaf_weight(), zval, 2)
+            generic = tknn_semivalue_generic(ds, cfg, banzhaf_weight(), zval)
             oracle = semivalue_oracle(ds, tknn_utility(cfg.tau, 2), banzhaf_weight(), zval, EUCLID)
             assert np.max(np.abs(generic.scores - oracle.scores)) < 1e-9
 
@@ -477,19 +478,28 @@ class TestGenericSemivalue:
         zval = LabeledPoint(np.zeros(3), 0)
         cfg = TknnConfig(1.0, EUCLID)
         for weight in (shapley_weight(), banzhaf_weight()):
-            res = tknn_semivalue_generic(far, cfg, weight, zval, 2)
+            res = tknn_semivalue_generic(far, cfg, weight, zval)
             assert np.array_equal(res.scores, np.zeros(6))
+
+    @pytest.mark.parametrize("label", [-1, 2])
+    def test_label_outside_the_class_count_rejected(self, rng, label):
+        # C comes from the dataset, as in every release, so the label is checked against it.
+        ds, zval = make_instance(rng, 4)
+        with pytest.raises(ParameterError, match="num_classes"):
+            tknn_semivalue_generic(
+                ds, TknnConfig(1.0, EUCLID), shapley_weight(), LabeledPoint(zval.features, label)
+            )
 
     def test_size_guard(self, rng):
         ds, zval = make_instance(rng, 12)
         with pytest.raises(EnumerationLimitError):
-            tknn_semivalue_generic(ds, TknnConfig(1.0, EUCLID), shapley_weight(), zval, 2, max_n=10)
+            tknn_semivalue_generic(ds, TknnConfig(1.0, EUCLID), shapley_weight(), zval, max_n=10)
 
     def test_unnormalized_weight_rejected(self, rng):
         ds, zval = make_instance(rng, 4)
         bad = custom_weight(lambda k, n: 0.3)
         with pytest.raises(ParameterError):
-            tknn_semivalue_generic(ds, TknnConfig(1.0, EUCLID), bad, zval, 2)
+            tknn_semivalue_generic(ds, TknnConfig(1.0, EUCLID), bad, zval)
 
 
 class TestConfig:
@@ -509,7 +519,7 @@ class TestConfig:
         dval = Dataset(rng.standard_normal((4, 3)), np.arange(4) % 2, 2)
 
         def scores(tau):
-            return tknn_shapley_all(ds, TknnConfig(tau, EUCLID), dval, 2).scores
+            return tknn_shapley_all(ds, TknnConfig(tau, EUCLID), dval).scores
 
         assert np.array_equal(scores(math.inf), scores(1e300))
         assert np.array_equal(scores(-math.inf), np.zeros(9))
