@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -207,9 +207,7 @@ def _trim(
 def _compose_pair(
     a: PrivacyLossDistribution, b: PrivacyLossDistribution, tail_budget: float
 ) -> PrivacyLossDistribution:
-    if abs(a.grid_step - b.grid_step) > 1e-15 * max(a.grid_step, b.grid_step):
-        raise ParameterError("compose requires a common grid_step; rebin first")
-    h = a.grid_step
+    h = a.grid_step  # compose and _compose_power pass two PLDs on one grid
     _check_grid_points(a.mass.shape[0] + b.mass.shape[0] - 1)
     mass = _convolve(a.mass, b.mass)
     truncated = 1.0 - (1.0 - a.truncated_mass) * (1.0 - b.truncated_mass)
@@ -361,15 +359,7 @@ class CalibrationResult:
     truncated_mass: float
 
     def report(self) -> dict:
-        return {
-            "mechanisms": self.mechanisms,
-            "sigma": self.sigma,
-            "q": self.q,
-            "delta": self.delta,
-            "epsilon": self.epsilon,
-            "grid_step": self.grid_step,
-            "truncated_mass": self.truncated_mass,
-        }
+        return asdict(self)
 
 
 def composed_epsilon(

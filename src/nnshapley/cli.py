@@ -202,6 +202,8 @@ def _parse_count(value: str, what: str) -> int:
 def _load_datasets(args: argparse.Namespace) -> tuple[Dataset, Dataset]:
     if args.threads < 1:
         raise ParameterError(f"--threads must be at least 1; got {args.threads}")
+    if args.num_classes is not None and args.num_classes < 2:
+        raise ParameterError(f"--num-classes must be at least 2; got {args.num_classes}")
     if (args.train is None) == (args.synthetic is None):
         raise ParameterError("provide exactly one of --train and --synthetic")
     if args.synthetic is None:
@@ -272,7 +274,6 @@ def _method_config(args: argparse.Namespace) -> MethodConfig:
         k=args.k,
         tau=args.tau,
         metric=DistanceMetric.parse(args.metric),
-        dp_subsampled=bool(getattr(args, "dp_subsampled", False)),
     )
 
 
@@ -309,11 +310,13 @@ def _resolve_dp(
     With --epsilon, sigma is found by inverting the accountant over all
     n_val releases (so the composed epsilon never exceeds the request); with
     --sigma the accountant just reports the composed epsilon. The sensitivity
-    and sampling rate are those of the mechanism that ``method`` runs.
+    and sampling rate are those of the mechanism that ``method`` runs: it
+    runs at ``--q`` when it always subsamples or ``--dp-subsampled`` is
+    given, and at q = 1 otherwise.
     """
     spec = METHODS[method.name]
     sensitivity = spec.sensitivity(method.k)
-    q = args.q if spec.subsampled(method) else 1.0
+    q = args.q if spec.subsampled or args.dp_subsampled else 1.0
     if args.sigma is not None:
         calibration = account_sigma(
             sensitivity, args.sigma, q, n_val, args.delta, args.grid_step, args.truncation_tail

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import operator
 import re
 import warnings
@@ -47,6 +48,24 @@ def _check_finite(features: np.ndarray) -> None:
         raise ParameterError("features must be finite")
 
 
+def _integer(value: Any, what: str) -> int:
+    """``value`` as an int: an integer, or a real number with an integral value."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        pass
+    if isinstance(value, numbers.Real) and float(value).is_integer():  # not NaN or infinite
+        return int(value)
+    raise ParameterError(f"{what} {value!r} is not an integer")
+
+
+def _class_count(value: Any) -> int:
+    count = _integer(value, "num_classes")
+    if count < 2:
+        raise ParameterError(f"num_classes must be at least 2; got {count}")
+    return count
+
+
 @dataclass(frozen=True)
 class LabeledPoint:
     """A single training or validation example."""
@@ -59,13 +78,7 @@ class LabeledPoint:
         if feats.ndim != 1:
             raise ParameterError("features must be a 1-d vector")
         _check_finite(feats)
-        try:
-            label = operator.index(self.label)
-        except TypeError:
-            value = float(self.label)
-            if not value.is_integer():  # also false for NaN and infinities
-                raise ParameterError(f"label {self.label!r} is not an integer") from None
-            label = int(value)
+        label = _integer(self.label, "label")
         feats = feats.copy()
         feats.setflags(write=False)
         object.__setattr__(self, "features", feats)
@@ -101,9 +114,8 @@ class Dataset:
             labels = labels.astype(np.float64)
             if not np.all(labels == np.floor(labels)):  # NaN fails here, +-inf the range check
                 raise ParameterError("labels must be integers")
-        if self.num_classes < 2:
-            raise ParameterError("num_classes must be at least 2")
-        if labels.size and (labels.min() < 0 or labels.max() >= self.num_classes):
+        num_classes = _class_count(self.num_classes)
+        if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
             raise ParameterError("labels must lie in [0, num_classes)")
         labels = labels.astype(np.int64)
         owners = self.owners
@@ -120,7 +132,7 @@ class Dataset:
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "owners", owners)
-        object.__setattr__(self, "num_classes", int(self.num_classes))
+        object.__setattr__(self, "num_classes", num_classes)
 
     @property
     def n(self) -> int:
@@ -448,7 +460,11 @@ def load_csv(
     Without ``num_classes`` the class count is one more than the largest
     label. If some class below it has no training point, a :class:`DataWarning`
     names the largest label, since one stray label can set a huge class count.
+    A given ``num_classes`` that is not an integer of at least 2 raises
+    :class:`ParameterError` before the file is opened.
     """
+    if num_classes is not None:
+        num_classes = _class_count(num_classes)
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
@@ -548,12 +564,12 @@ def _load_rows(
                 DataWarning,
                 stacklevel=3,  # the caller of load_csv
             )
+        if c < 2:
+            raise DataError(
+                "dataset declares fewer than 2 classes; pass num_classes explicitly to override"
+            )
     else:
-        c = int(num_classes)
-    if c < 2:
-        raise DataError(
-            "dataset declares fewer than 2 classes; pass num_classes explicitly to override"
-        )
+        c = num_classes
     if lab.max() >= c:
         bad = int(np.flatnonzero(lab >= c)[0]) + 1
         raise DataError(f"row {bad}: label {lab[bad - 1]} is not below the class count {c}")

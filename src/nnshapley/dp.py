@@ -26,8 +26,10 @@ from ._rng import TAG_NOISE, TAG_SUBSAMPLE, streams
 from .dataset import Dataset, sum_over_validation, validation_chunks
 from .errors import ParameterError
 from .knn import KnnConfig, _old_sorted_batch, knn_score_matrix, knn_sorted_match
+from .knn import _descriptor as _knn_descriptor
 from .tknn import NeighborCounts, TknnConfig, clamp_counts, tknn_tiled_sum
-from .valuation import MethodDescriptor, ValuationResult
+from .tknn import _descriptor as _tknn_descriptor
+from .valuation import ValuationResult
 
 COUNTS_SENSITIVITY = math.sqrt(3.0)  # l2 sensitivity of the counting triple
 
@@ -141,13 +143,8 @@ def dp_tknn_shapley_all(
 
     subsampled = sample if params.q < 1.0 else None
     total = tknn_tiled_sum(ds, cfg, dval, sample=subsampled, release=release)
-    descriptor = MethodDescriptor(
-        name="dp-tknn-shapley",
-        num_classes=ds.num_classes,
-        metric=cfg.metric.value,
-        tau=cfg.tau,
-        weight="shapley",
-        dp=params.manifest(draws=3 * dval.n),
+    descriptor = replace(
+        _tknn_descriptor(ds, cfg), name="dp-tknn-shapley", dp=params.manifest(draws=3 * dval.n)
     )
     return ValuationResult(total, descriptor, validation_size=dval.n), released
 
@@ -157,27 +154,26 @@ def dp_knn_shapley_all(
     cfg: KnnConfig,
     dval: Dataset,
     params: DpParams,
-    subsampled: bool = False,
 ) -> ValuationResult:
     """The naive DP baseline on the older KNN-Shapley variant.
 
     Independent noise per (owner, validation point): N * |dval| draws, with
-    no reuse and hence no collusion resistance. The subsampled form draws a
+    no reuse and hence no collusion resistance. It runs at the rate
+    ``params.q``, as :func:`dp_tknn_shapley_all` does. Below q = 1 it draws a
     fresh Poisson subsample per owner and validation point, always keeping
     the owner, and reruns the recursion on it, because the recursion offers
-    no way to share one subsample across owners. A subset keeps index order,
-    so its (distance, index) order is the kept part of the row's one order.
-    At q = 1 every subsample is the whole set, so none is drawn.
+    no way to share one subsample across owners; its name then ends in
+    ``-subsampled``. A subset keeps index order, so its (distance, index)
+    order is the kept part of the row's one order. At q = 1 every subsample
+    would be the whole set, so none is drawn.
     """
     if cfg.variant != "old":
         raise ParameterError("the DP baseline is defined for the old variant only")
-    if not subsampled:
-        params = replace(params, q=1.0)  # the rate this release runs at, for the manifest
     n = ds.n
 
     def scores(lo: int, hi: int, norms: np.ndarray | None) -> np.ndarray:
         features, labels = dval.features[lo:hi], dval.labels[lo:hi]
-        if params.q == 1.0:  # unsubsampled, or every mask would keep every point
+        if params.q == 1.0:  # every mask would keep every point
             chunk = knn_score_matrix(ds, cfg, features, labels, norms)
         else:
             order, match = knn_sorted_match(ds, cfg.metric, features, labels, norms)
@@ -197,12 +193,9 @@ def dp_knn_shapley_all(
         return chunk
 
     total = sum_over_validation(ds, dval, cfg.metric, validation_chunks(dval.n, n), scores)
-    descriptor = MethodDescriptor(
-        name="dp-knn-shapley-old" + ("-subsampled" if subsampled else ""),
-        num_classes=ds.num_classes,
-        metric=cfg.metric.value,
-        k=cfg.k,
-        weight="shapley",
+    descriptor = replace(
+        _knn_descriptor(ds, cfg),
+        name="dp-knn-shapley-old" + ("-subsampled" if params.q < 1.0 else ""),
         dp=params.manifest(draws=n * dval.n),
     )
     return ValuationResult(total, descriptor, validation_size=dval.n)

@@ -57,7 +57,8 @@ def auroc(scores: np.ndarray, positives: np.ndarray) -> float:
 @dataclass(frozen=True)
 class MethodConfig:
     """Which valuation to run, with its hyperparameters and, for a private
-    method, the release's noise (``dp``, required by :func:`compute_values`).
+    method, the release's noise (``dp``, required by :func:`compute_values`),
+    whose rate ``dp.q`` is the rate the release runs at.
 
     ``k`` and ``tau`` are validated whichever method reads them.
     """
@@ -67,7 +68,6 @@ class MethodConfig:
     tau: float = -0.5
     metric: DistanceMetric = DistanceMetric.NEGATIVE_COSINE
     dp: DpParams | None = None
-    dp_subsampled: bool = False
 
     def __post_init__(self) -> None:
         if self.name not in METHODS:
@@ -100,7 +100,7 @@ def _run_dp_tknn(train: Dataset, dval: Dataset, m: MethodConfig, threads: int) -
 
 def _run_dp_knn(train: Dataset, dval: Dataset, m: MethodConfig, threads: int) -> ValuationResult:
     cfg = KnnConfig(m.k, m.metric, "old")
-    return dp_knn_shapley_all(train, cfg, dval, m.dp, m.dp_subsampled)
+    return dp_knn_shapley_all(train, cfg, dval, m.dp)
 
 
 @dataclass(frozen=True)
@@ -108,13 +108,14 @@ class Method:
     """How to run one method and, for a private one, what the accountant sees.
 
     ``sensitivity(k)`` is the l2 sensitivity of one release and is None for
-    a non-private method; ``subsampled(m)`` says whether the release
-    Poisson-subsamples at the requested rate q (otherwise it runs at q = 1).
+    a non-private method. A private release runs at the rate of its
+    ``DpParams.q``; ``subsampled`` says whether the CLI gives it ``--q``
+    without ``--dp-subsampled`` (otherwise it runs at q = 1).
     """
 
     run: Callable[[Dataset, Dataset, MethodConfig, int], ValuationResult]
     sensitivity: Callable[[int], float] | None = None
-    subsampled: Callable[[MethodConfig], bool] = lambda m: False
+    subsampled: bool = False
 
     @property
     def private(self) -> bool:
@@ -125,12 +126,8 @@ METHODS: dict[str, Method] = {
     "tknn": Method(_run_tknn),
     "knn": Method(_run_knn),
     "knn-old": Method(_run_knn_old),
-    "dp-tknn": Method(
-        _run_dp_tknn, sensitivity=lambda k: COUNTS_SENSITIVITY, subsampled=lambda m: True
-    ),
-    "dp-knn": Method(
-        _run_dp_knn, sensitivity=knn_old_sensitivity, subsampled=lambda m: m.dp_subsampled
-    ),
+    "dp-tknn": Method(_run_dp_tknn, sensitivity=lambda k: COUNTS_SENSITIVITY, subsampled=True),
+    "dp-knn": Method(_run_dp_knn, sensitivity=knn_old_sensitivity),
 }
 
 
@@ -143,8 +140,9 @@ def compute_values(
     """Run ``method`` over the validation set.
 
     A private method runs on one thread and needs ``method.dp``, the noise
-    of its release (a calibrated sigma; see :class:`nnshapley.dp.DpParams`);
-    any other method rejects a ``dp``, which it would not apply.
+    of its release (a calibrated sigma; see :class:`nnshapley.dp.DpParams`),
+    and Poisson-subsamples exactly when ``method.dp.q`` < 1; any other
+    method rejects a ``dp``, which it would not apply.
     """
     spec = METHODS[method.name]
     if spec.private and method.dp is None:

@@ -208,6 +208,19 @@ class TestDpValueCommand:
         payload = json.loads((tmp_path / "dpknn.json").read_text())
         assert payload["result"]["method"]["name"] == "dp-knn-shapley-old"
 
+    def test_dp_subsampled_baseline_runs_and_is_accounted_at_q(self, tmp_path):
+        out, report = tmp_path / "dpknn.json", tmp_path / "dpknn.account.json"
+        code = run_cli(
+            ["dp-value", "--synthetic", "n=40,d=3", "--synthetic-val", "n=3",
+             "--method", "dp-knn", "--dp-subsampled", "--q", "0.3", "--sigma", "0.5",
+             "--seed", "1", "--output", str(out), "--report", str(report)]
+        )
+        assert code == 0
+        method = json.loads(out.read_text())["result"]["method"]
+        assert method["name"] == "dp-knn-shapley-old-subsampled"
+        assert method["dp"]["q"] == 0.3
+        assert json.loads(report.read_text())["report"]["q"] == 0.3
+
     def test_seeded_reproducibility(self, tmp_path):
         args = ["dp-value", "--synthetic", "n=50,d=3", "--synthetic-val", "n=4",
                 "--method", "dp-tknn", "--sigma", "2.0", "--delta", "1e-4",
@@ -389,6 +402,20 @@ def test_threads_below_one_exit_2_before_data(tmp_path, monkeypatch, capsys, com
     code = run_cli(_THREADED_COMMANDS[command] + ["--threads", threads, "--output", str(out)])
     assert code == 2
     assert "--threads" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("count", ["1", "-3"])
+def test_num_classes_below_two_exits_2_before_data(tmp_path, monkeypatch, capsys, count):
+    def no_data(*args, **kwargs):
+        raise AssertionError("data loaded before --num-classes was validated")
+
+    monkeypatch.setattr("nnshapley.cli.load_csv", no_data)
+    out = tmp_path / "x.json"
+    code = run_cli(["value", "--train", "t.csv", "--val", "t.csv", "--num-classes", count,
+                    "--output", str(out)])
+    assert code == 2
+    assert "--num-classes" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -93,6 +93,20 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="normalize"):
             load_csv(path, l2_normalize=True)
 
+    @pytest.mark.parametrize("count", [2.5, float("nan"), float("inf"), 1, -3])
+    def test_bad_explicit_class_count_rejected_before_reading(self, tmp_path, count):
+        # Not truncated, and checked before the file is opened: it need not exist.
+        with pytest.raises(ParameterError, match="num_classes"):
+            load_csv(tmp_path / "absent.csv", num_classes=count)
+
+    def test_integral_float_class_count_accepted(self, tmp_path):
+        ds = load_csv(write(tmp_path, "a.csv", "1,0\n2,1\n"), num_classes=3.0)
+        assert ds.num_classes == 3 and type(ds.num_classes) is int
+
+    def test_inferred_class_count_below_two_keeps_its_hint(self, tmp_path):
+        with pytest.raises(DataError, match="pass num_classes explicitly"):
+            load_csv(write(tmp_path, "a.csv", "1,0\n2,0\n"))
+
     def test_non_integer_label(self, tmp_path):
         path = write(tmp_path, "a.csv", "1,2,0.5\n")
         with pytest.raises(DataError, match="integer"):
@@ -588,6 +602,16 @@ class TestDataset:
         with pytest.raises(ParameterError):
             Dataset(rng.standard_normal((3, 2)), [0, 1, 0], 1)  # fewer than 2 classes
 
+    @pytest.mark.parametrize("count", [2.5, np.float64(3.5), np.nan, np.inf, "3", None])
+    def test_non_integral_class_count_rejected(self, count):
+        with pytest.raises(ParameterError, match="num_classes .* is not an integer"):
+            Dataset(np.zeros((2, 1)), [0, 1], count)
+
+    @pytest.mark.parametrize("count", [3, np.int64(3), 3.0, np.float64(3.0)])
+    def test_integral_class_count_accepted(self, count):
+        ds = Dataset(np.zeros((2, 1)), [0, 1], count)
+        assert ds.num_classes == 3 and type(ds.num_classes) is int
+
     @pytest.mark.parametrize(
         "labels", [[0.0, 1.5, 0.0], [0.0, np.nan, 1.0], [0.0, np.inf, 1.0], [-np.inf, 0, 1],
                    [0.0, 1e300, 1.0]],
@@ -612,7 +636,7 @@ class TestDataset:
         with pytest.raises(ParameterError, match="finite"):
             LabeledPoint(feats[1], 0)
 
-    @pytest.mark.parametrize("label", [2.7, np.float64(0.5), np.nan, np.inf])
+    @pytest.mark.parametrize("label", [2.7, np.float64(0.5), np.nan, np.inf, "1"])
     def test_labeled_point_rejects_non_integral_labels(self, label):
         with pytest.raises(ParameterError, match="not an integer"):
             LabeledPoint(np.zeros(2), label)

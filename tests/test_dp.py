@@ -1,7 +1,6 @@
 import itertools
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +26,7 @@ from nnshapley.dp import (
     privatize_counts,
 )
 from nnshapley.errors import ParameterError
+from nnshapley.evaluation import MethodConfig, compute_values
 from nnshapley.knn import KnnConfig, knn_shapley_all, knn_shapley_single
 from nnshapley.tknn import (
     NeighborCounts,
@@ -341,17 +341,17 @@ class TestDpKnnBaseline:
                 q=(0.3, 0.7, 1.0)[case % 3],
                 seed=case,
             )
-            res = dp_knn_shapley_all(ds, cfg, dval, params, subsampled=True)
+            res = dp_knn_shapley_all(ds, cfg, dval, params)
             ref = _per_owner_subsampled_reference(ds, cfg, dval, num_classes, params)
             assert np.array_equal(res.scores, ref), case
 
-    @pytest.mark.parametrize("subsampled", [False, True])
-    def test_empty_training_set_rejected(self, subsampled):
+    @pytest.mark.parametrize("q", [1.0, 0.5])
+    def test_empty_training_set_rejected(self, q):
         ds = Dataset(np.zeros((0, 3)), np.zeros(0, dtype=int), 2)
         dval = generate_gaussian_synthetic(3, 3, seed=2)
-        params = DpParams(delta=1e-4, sigma=0.1, q=0.5)
+        params = DpParams(delta=1e-4, sigma=0.1, q=q)
         with pytest.raises(ParameterError, match="empty dataset"):
-            dp_knn_shapley_all(ds, KnnConfig(3, EUCLID, "old"), dval, params, subsampled)
+            dp_knn_shapley_all(ds, KnnConfig(3, EUCLID, "old"), dval, params)
 
     def test_subsampled_over_chunks_only_reorders_the_sum(self, monkeypatch):
         monkeypatch.setattr(dataset, "_SCORE_CHUNK_ELEMS", 60)
@@ -360,15 +360,13 @@ class TestDpKnnBaseline:
         assert len(validation_chunks(dval.n, ds.n)) >= 3
         cfg = KnnConfig(3, NEGCOS, "old")
         params = DpParams(delta=1e-4, sigma=0.05, q=0.5, seed=3)
-        res = dp_knn_shapley_all(ds, cfg, dval, params, subsampled=True)
+        res = dp_knn_shapley_all(ds, cfg, dval, params)
         ref = _per_owner_subsampled_reference(ds, cfg, dval, 2, params)
         assert res.scores.tobytes() == ref.tobytes()
 
-    @pytest.mark.parametrize(
-        "subsampled, q", [(False, 1.0), (True, 1.0), (True, 0.5)], ids=["plain", "q1", "q0.5"]
-    )
+    @pytest.mark.parametrize("q", [1.0, 0.5], ids=["q1", "q0.5"])
     @pytest.mark.parametrize("metric", [EUCLID, NEGCOS])
-    def test_scores_do_not_depend_on_chunk_height(self, monkeypatch, metric, subsampled, q):
+    def test_scores_do_not_depend_on_chunk_height(self, monkeypatch, metric, q):
         # Noised score rows are added in validation order whatever the row
         # groups: one-row groups, ragged groups (11 = 3 * 3 + 2 = 7 + 4) or one.
         ds = generate_gaussian_synthetic(40, 3, seed=11)
@@ -379,7 +377,7 @@ class TestDpKnnBaseline:
         scores = []
         for rows in (1, 3, 7, None):
             set_chunk_rows(monkeypatch, ds, rows)
-            res = dp_knn_shapley_all(ds, cfg, dval, params, subsampled=subsampled)
+            res = dp_knn_shapley_all(ds, cfg, dval, params)
             scores.append(res.scores.tobytes())
         assert scores == scores[:1] * 4
 
@@ -390,14 +388,14 @@ class TestDpKnnBaseline:
         for metric in (EUCLID, NEGCOS):
             cfg = KnnConfig(3, metric, "old")
             params = DpParams(delta=1e-4, sigma=0.0, q=1.0, seed=6)
-            res = dp_knn_shapley_all(ds, cfg, dval, params, subsampled=True)
+            res = dp_knn_shapley_all(ds, cfg, dval, params)
             assert np.array_equal(res.scores, knn_shapley_all(ds, cfg, dval).scores)
 
     def test_full_rate_draws_no_subsample(self, monkeypatch):
-        # At q = 1 every mask keeps every point: the subsampled form is the
-        # plain release under its own name, and builds no subsample stream.
-        # Keys are counted whether they are requested one at a time or in
-        # batches over a range of the last key word.
+        # At q = 1 every mask would keep every point: the release builds no
+        # subsample stream and keeps the plain name. Keys are counted whether
+        # they are requested one at a time or in batches over a range of the
+        # last key word.
         keys = []
 
         def counting_stream(seed, *key):
@@ -413,19 +411,15 @@ class TestDpKnnBaseline:
         ds = generate_gaussian_synthetic(30, 3, seed=4)
         dval = generate_gaussian_synthetic(5, 3, seed=5)
         cfg = KnnConfig(3, NEGCOS, "old")
-        for q, subsample_streams in ((1.0, 0), (0.5, ds.n * dval.n)):
+        for q, subsample_streams, suffix in ((1.0, 0, ""), (0.5, ds.n * dval.n, "-subsampled")):
             keys.clear()
             params = DpParams(delta=1e-4, sigma=0.2, q=q, seed=6)
-            res = dp_knn_shapley_all(ds, cfg, dval, params, subsampled=True)
+            res = dp_knn_shapley_all(ds, cfg, dval, params)
             assert sum(key[0] == TAG_SUBSAMPLE for key in keys) == subsample_streams
             noise_keys = [key for key in keys if key[0] == TAG_NOISE]
             assert noise_keys == [(TAG_NOISE, v) for v in range(dval.n)]
-            assert res.method.name == "dp-knn-shapley-old-subsampled"
+            assert res.method.name == "dp-knn-shapley-old" + suffix
             assert res.method.dp == params.manifest(draws=ds.n * dval.n)
-        plain = dp_knn_shapley_all(ds, cfg, dval, replace(params, q=1.0))
-        keys.clear()
-        full = dp_knn_shapley_all(ds, cfg, dval, replace(params, q=1.0), subsampled=True)
-        assert np.array_equal(full.scores, plain.scores)
 
     def test_requires_old_variant(self):
         ds = generate_gaussian_synthetic(10, 2, seed=1)
@@ -453,21 +447,39 @@ class TestDpKnnBaseline:
         assert res.method.dp["draws"] == 25 * 4
 
     def test_manifest_reports_the_rate_the_release_ran_at(self):
+        # The release runs at the rate of its DpParams, whatever that rate,
+        # so the manifest records the rate it was given.
         ds = generate_gaussian_synthetic(20, 3, seed=1)
         dval = generate_gaussian_synthetic(3, 3, seed=2)
         cfg = KnnConfig(3, EUCLID, "old")
+        for q in (0.5, 1.0):
+            params = DpParams(delta=1e-4, sigma=0.1, q=q, seed=3)
+            res = dp_knn_shapley_all(ds, cfg, dval, params)
+            assert res.method.dp == params.manifest(draws=ds.n * dval.n)
+
+    @pytest.mark.parametrize("through", ["direct", "compute_values"])
+    def test_a_rate_below_one_subsamples(self, through):
+        # A rate below 1 is never replaced by 1: called directly or through
+        # the method registry, the release subsamples at that rate, names
+        # itself subsampled and records the rate.
+        ds = generate_gaussian_synthetic(20, 3, seed=1)
+        dval = generate_gaussian_synthetic(3, 3, seed=2)
+        cfg = KnnConfig(3, NEGCOS, "old")
         params = DpParams(delta=1e-4, sigma=0.1, q=0.5, seed=3)
-        assert dp_knn_shapley_all(ds, cfg, dval, params).method.dp["q"] == 1.0
-        sub = dp_knn_shapley_all(ds, cfg, dval, params, subsampled=True)
-        assert sub.method.dp["q"] == 0.5
+        if through == "direct":
+            res = dp_knn_shapley_all(ds, cfg, dval, params)
+        else:
+            res = compute_values(ds, dval, MethodConfig("dp-knn", k=3, metric=NEGCOS, dp=params))
+        ref = _per_owner_subsampled_reference(ds, cfg, dval, 2, params)
+        assert res.scores.tobytes() == ref.tobytes()
+        assert res.method.name == "dp-knn-shapley-old-subsampled"
+        assert res.method.dp["q"] == 0.5
 
     def test_subsampled_baseline_runs_and_degenerates(self):
         ds = generate_gaussian_synthetic(20, 3, seed=1)
         dval = generate_gaussian_synthetic(3, 3, seed=2)
         cfg = KnnConfig(3, EUCLID, "old")
-        res = dp_knn_shapley_all(
-            ds, cfg, dval, DpParams(delta=1e-4, sigma=0.0, q=1.0, seed=3), subsampled=True
-        )
+        res = dp_knn_shapley_all(ds, cfg, dval, DpParams(delta=1e-4, sigma=0.0, q=1.0, seed=3))
         nonpriv = knn_shapley_all(ds, cfg, dval)
         # q = 1 keeps every point, so zero noise reduces to the plain scores.
         assert np.allclose(res.scores, nonpriv.scores, atol=1e-12)

@@ -55,6 +55,7 @@ class TestAuroc:
 
 NEGCOS = DistanceMetric.NEGATIVE_COSINE
 _DP = DpParams(delta=1e-4, sigma=0.3, q=0.5, seed=4)
+_DP_FULL_RATE = DpParams(delta=1e-4, sigma=0.3, q=1.0, seed=4)
 
 # Registry case -> (config, the same run as a direct driver call).
 REGISTRY_CASES = {
@@ -75,14 +76,12 @@ REGISTRY_CASES = {
         lambda t, v: dp_tknn_shapley_all(t, TknnConfig(-0.4), v, _DP)[0],
     ),
     "dp-knn": (
-        MethodConfig("dp-knn", k=3, dp=_DP),
-        lambda t, v: dp_knn_shapley_all(t, KnnConfig(3, NEGCOS, "old"), v, _DP),
+        MethodConfig("dp-knn", k=3, dp=_DP_FULL_RATE),
+        lambda t, v: dp_knn_shapley_all(t, KnnConfig(3, NEGCOS, "old"), v, _DP_FULL_RATE),
     ),
     "dp-knn-subsampled": (
-        MethodConfig("dp-knn", k=3, dp=_DP, dp_subsampled=True),
-        lambda t, v: dp_knn_shapley_all(
-            t, KnnConfig(3, NEGCOS, "old"), v, _DP, subsampled=True
-        ),
+        MethodConfig("dp-knn", k=3, dp=_DP),
+        lambda t, v: dp_knn_shapley_all(t, KnnConfig(3, NEGCOS, "old"), v, _DP),
     ),
 }
 

@@ -1,5 +1,6 @@
 """The package's public names and the README's library example."""
 
+import dataclasses
 import inspect
 import re
 import types
@@ -49,6 +50,12 @@ def test_public_names_are_pinned():
 )
 def test_releases_take_the_class_count_from_the_dataset(name):
     assert "num_classes" not in inspect.signature(getattr(nnshapley, name)).parameters
+
+
+def test_private_releases_run_at_the_rate_of_their_dp_params():
+    # The rate is DpParams.q alone: no second knob can replace it.
+    assert "subsampled" not in inspect.signature(nnshapley.dp_knn_shapley_all).parameters
+    assert "dp_subsampled" not in {f.name for f in dataclasses.fields(nnshapley.MethodConfig)}
 
 
 def test_readme_library_example_runs():
