@@ -20,25 +20,22 @@ from .dataset import (
     load_csv,
 )
 from .valuation import (
+    KnnConfig,
     MethodDescriptor,
     SemivalueWeight,
-    UtilityKind,
+    TknnConfig,
     ValuationResult,
     aggregate_over_validation,
     banzhaf_weight,
     custom_weight,
-    knn_old_utility,
-    knn_soft_utility,
     semivalue_oracle,
     shapley_oracle,
     shapley_weight,
-    tknn_utility,
     utility,
 )
-from .knn import KnnConfig, knn_shapley_all, knn_shapley_single
+from .knn import knn_shapley_all, knn_shapley_single
 from .tknn import (
     NeighborCounts,
-    TknnConfig,
     counts_full,
     counts_leave_one_out,
     tknn_semivalue_generic,

@@ -192,11 +192,15 @@ def _parse_kv(text: str, what: str, keys: tuple[str, ...]) -> dict[str, int]:
 
 
 def _parse_count(value: str, what: str) -> int:
-    """A count written as a float literal such as ``1e5``; nan and inf are usage errors."""
+    """A count written as an integral float literal such as ``1e5``; a fraction,
+    nan and inf are usage errors."""
     try:
-        return int(float(value))
-    except (ValueError, OverflowError):  # int() rejects nan and inf
-        raise ParameterError(f"bad {what} value {value!r}") from None
+        number = float(value)
+    except ValueError:
+        number = math.nan
+    if not number.is_integer():  # also false for nan and inf
+        raise ParameterError(f"bad {what} value {value!r}; expected a whole count")
+    return int(number)
 
 
 def _load_datasets(args: argparse.Namespace) -> tuple[Dataset, Dataset]:
@@ -245,7 +249,8 @@ def _load_datasets(args: argparse.Namespace) -> tuple[Dataset, Dataset]:
 
 def _check_dp_flags(args: argparse.Namespace) -> None:
     """The budget and accountant flags, checked before any data whether or not
-    the method reads them; a private method needs exactly one budget flag."""
+    the method reads them; a private method needs exactly one budget flag, and
+    only a private method that does not always subsample reads --dp-subsampled."""
     eps, sigma = args.epsilon, args.sigma
     q, delta, step, tail = args.q, args.delta, args.grid_step, args.truncation_tail
     for flag, value, ok, rule in (
@@ -258,7 +263,10 @@ def _check_dp_flags(args: argparse.Namespace) -> None:
     ):
         if not ok:  # the comparisons are also false for NaN
             raise ParameterError(f"{flag} must {rule}; got {value}")
-    if METHODS[args.method].private and (eps is None) == (sigma is None):
+    spec = METHODS[args.method]  # --baseline has replaced --method by now
+    if args.dp_subsampled and (not spec.private or spec.subsampled):
+        raise ParameterError(f"--dp-subsampled is not read with --method {args.method}")
+    if spec.private and (eps is None) == (sigma is None):
         raise ParameterError(f"--method {args.method} needs exactly one of --epsilon and --sigma")
 
 

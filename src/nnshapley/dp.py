@@ -18,18 +18,16 @@ the sigma that meets an (epsilon, delta) budget is the accountant's job,
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from ._rng import TAG_NOISE, TAG_SUBSAMPLE, streams
 from .dataset import Dataset, sum_over_validation, validation_chunks
 from .errors import ParameterError
-from .knn import KnnConfig, _old_sorted_batch, knn_score_matrix, knn_sorted_match
-from .knn import _descriptor as _knn_descriptor
-from .tknn import NeighborCounts, TknnConfig, clamp_counts, tknn_tiled_sum
-from .tknn import _descriptor as _tknn_descriptor
-from .valuation import ValuationResult
+from .knn import _old_sorted_batch, knn_score_matrix, knn_sorted_match
+from .tknn import NeighborCounts, clamp_counts, tknn_tiled_sum
+from .valuation import KnnConfig, TknnConfig, ValuationResult, describe
 
 COUNTS_SENSITIVITY = math.sqrt(3.0)  # l2 sensitivity of the counting triple
 
@@ -143,9 +141,7 @@ def dp_tknn_shapley_all(
 
     subsampled = sample if params.q < 1.0 else None
     total = tknn_tiled_sum(ds, cfg, dval, sample=subsampled, release=release)
-    descriptor = replace(
-        _tknn_descriptor(ds, cfg), name="dp-tknn-shapley", dp=params.manifest(draws=3 * dval.n)
-    )
+    descriptor = describe("dp-tknn-shapley", ds, cfg, dp=params.manifest(draws=3 * dval.n))
     return ValuationResult(total, descriptor, validation_size=dval.n), released
 
 
@@ -193,9 +189,6 @@ def dp_knn_shapley_all(
         return chunk
 
     total = sum_over_validation(ds, dval, cfg.metric, validation_chunks(dval.n, n), scores)
-    descriptor = replace(
-        _knn_descriptor(ds, cfg),
-        name="dp-knn-shapley-old" + ("-subsampled" if params.q < 1.0 else ""),
-        dp=params.manifest(draws=n * dval.n),
-    )
+    name = "dp-knn-shapley-old" + ("-subsampled" if params.q < 1.0 else "")
+    descriptor = describe(name, ds, cfg, dp=params.manifest(draws=n * dval.n))
     return ValuationResult(total, descriptor, validation_size=dval.n)

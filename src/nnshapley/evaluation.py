@@ -19,9 +19,9 @@ from .dp import (
     knn_old_sensitivity,
 )
 from .errors import ParameterError
-from .knn import KnnConfig, knn_shapley_all
-from .tknn import TknnConfig, tknn_shapley_all
-from .valuation import MethodDescriptor, ValuationResult
+from .knn import knn_shapley_all
+from .tknn import tknn_shapley_all
+from .valuation import KnnConfig, MethodDescriptor, TknnConfig, ValuationResult
 
 
 def auroc(scores: np.ndarray, positives: np.ndarray) -> float:

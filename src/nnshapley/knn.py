@@ -23,27 +23,12 @@ the thread count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dataset import Dataset, DistanceMetric, LabeledPoint, distance_matrix
 from .dataset import sum_over_validation, validation_chunks
 from .errors import ParameterError
-from .valuation import MethodDescriptor, ValuationResult
-
-
-@dataclass(frozen=True)
-class KnnConfig:
-    k: int
-    metric: DistanceMetric = DistanceMetric.NEGATIVE_COSINE
-    variant: str = "refined"  # "refined" | "old"
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ParameterError("K must be at least 1")
-        if self.variant not in ("refined", "old"):
-            raise ParameterError(f"unknown KNN-Shapley variant: {self.variant!r}")
+from .valuation import KnnConfig, ValuationResult, describe
 
 
 def _index_ordered_argsort(dist: np.ndarray) -> np.ndarray:
@@ -169,16 +154,6 @@ def knn_score_matrix(
     return scores
 
 
-def _descriptor(ds: Dataset, cfg: KnnConfig) -> MethodDescriptor:
-    return MethodDescriptor(
-        name="knn-shapley" if cfg.variant == "refined" else "knn-shapley-old",
-        num_classes=ds.num_classes,
-        metric=cfg.metric.value,
-        k=cfg.k,
-        weight="shapley",
-    )
-
-
 def knn_shapley_single(
     ds: Dataset,
     cfg: KnnConfig,
@@ -202,4 +177,5 @@ def knn_shapley_all(
 
     chunks = validation_chunks(dval.n, ds.n)
     total = sum_over_validation(ds, dval, cfg.metric, chunks, scores, threads=threads)
-    return ValuationResult(total, _descriptor(ds, cfg), validation_size=dval.n)
+    name = "knn-shapley" if cfg.variant == "refined" else "knn-shapley-old"
+    return ValuationResult(total, describe(name, ds, cfg), validation_size=dval.n)

@@ -60,7 +60,6 @@ import numpy as np
 
 from .dataset import (
     Dataset,
-    DistanceMetric,
     LabeledPoint,
     add_rows,
     distance_matrix,
@@ -68,19 +67,7 @@ from .dataset import (
     sum_over_validation,
 )
 from .errors import EnumerationLimitError, ParameterError
-from .valuation import MethodDescriptor, SemivalueWeight, ValuationResult
-
-
-@dataclass(frozen=True)
-class TknnConfig:
-    tau: float
-    metric: DistanceMetric = DistanceMetric.NEGATIVE_COSINE
-
-    def __post_init__(self) -> None:
-        if math.isnan(self.tau):  # +-inf are allowed: every point or none is within
-            raise ParameterError("tau must be a number, not NaN")
-        if self.metric is DistanceMetric.NEGATIVE_COSINE and not -1.0 <= self.tau <= 1.0:
-            raise ParameterError("tau must lie in [-1, 1] for negative-cosine distance")
+from .valuation import SemivalueWeight, TknnConfig, ValuationResult, describe
 
 
 @dataclass(frozen=True)
@@ -276,16 +263,6 @@ def tknn_gather(table: np.ndarray, code: np.ndarray, out: np.ndarray | None = No
     return lookup.reshape(-1).take(index, out=out, mode="clip")
 
 
-def _descriptor(ds: Dataset, cfg: TknnConfig, weight: str = "shapley") -> MethodDescriptor:
-    return MethodDescriptor(
-        name="tknn-shapley" if weight == "shapley" else "tknn-semivalue",
-        num_classes=ds.num_classes,
-        metric=cfg.metric.value,
-        tau=cfg.tau,
-        weight=weight,
-    )
-
-
 _ROW_GROUP = 32  # validation rows per group of the tiled pass
 _COLUMN_TILE = 4096  # training columns per tile: an (R, C) float64 array is 1 MiB
 
@@ -369,7 +346,7 @@ def tknn_shapley_all(
 ) -> ValuationResult:
     """Exact TKNN-Shapley summed over a validation set."""
     total = tknn_tiled_sum(ds, cfg, dval, threads)
-    return ValuationResult(total, _descriptor(ds, cfg), validation_size=dval.n)
+    return ValuationResult(total, describe("tknn-shapley", ds, cfg), validation_size=dval.n)
 
 
 DEFAULT_SEMIVALUE_GUARD = 1000
@@ -399,7 +376,8 @@ def tknn_semivalue_generic(
         )
     if not 0 <= zval.label < ds.num_classes:
         raise ParameterError("the validation label must lie in [0, num_classes)")
-    descriptor = _descriptor(ds, cfg, weight=weight.kind)
+    name = "tknn-shapley" if weight.kind == "shapley" else "tknn-semivalue"
+    descriptor = describe(name, ds, cfg, weight.kind)
     if n == 0:
         return ValuationResult(np.zeros(0), descriptor, validation_size=1)
     w = weight.values(n)

@@ -1,8 +1,20 @@
-"""Utility functions, Shapley/semivalue definitions, and the enumeration oracle.
+"""Utility descriptions, Shapley/semivalue definitions, and the enumeration oracle.
+
+A utility is described once, by the configuration its release takes:
+:class:`KnnConfig` (refined or older KNN utility) or :class:`TknnConfig`
+(threshold utility). The oracle takes the same configuration:
+``utility(cfg, subset, zval)``, ``subset_utilities(ds, cfg, zval)``,
+``semivalue_oracle(ds, cfg, weight, zval, max_n)`` and
+``shapley_oracle(ds, cfg, zval, max_n)``. The distance metric comes from
+``cfg`` and the class count C from the dataset, as in the releases; the
+empty set is worth 0 under the older KNN utility and 1/C otherwise.
 
 The oracle enumerates every coalition and is the ground truth the fast
 closed-form routines are tested against. It is deliberately independent of
-those routines: it only needs a utility value per subset bitmask.
+those routines: it only needs a utility value per subset bitmask. Every
+:class:`MethodDescriptor`, the oracle's and the releases', is built by
+:func:`describe`; the oracle's name says which utility it scored
+(``oracle-knn``, ``oracle-knn-old`` or ``oracle-tknn``).
 """
 
 from __future__ import annotations
@@ -20,72 +32,54 @@ DEFAULT_ENUMERATION_GUARD = 20
 
 
 @dataclass(frozen=True)
-class UtilityKind:
-    """Which per-validation-point utility scores a training subset.
-
-    ``knn-soft`` divides correct neighbors among min(K, |S|); ``knn-old``
-    divides by K always; ``tknn`` averages label matches over all neighbors
-    within the threshold tau.
-    """
-
-    kind: str
-    num_classes: int
-    k: int | None = None
-    tau: float | None = None
+class KnnConfig:
+    k: int
+    metric: DistanceMetric = DistanceMetric.NEGATIVE_COSINE
+    variant: str = "refined"  # "refined" | "old"
 
     def __post_init__(self) -> None:
-        if self.kind not in ("knn-soft", "knn-old", "tknn"):
-            raise ParameterError(f"unknown utility kind: {self.kind!r}")
-        if self.kind in ("knn-soft", "knn-old"):
-            if self.k is None or self.k < 1:
-                raise ParameterError("KNN utilities require K >= 1")
-        elif self.tau is None:
-            raise ParameterError("the threshold utility requires tau")
-        if self.num_classes < 2:
-            raise ParameterError("num_classes must be at least 2")
-
-    @property
-    def empty_set_value(self) -> float:
-        # knn-old counts zero correct predictions over K; the others fall back
-        # to random-guess accuracy.
-        return 0.0 if self.kind == "knn-old" else 1.0 / self.num_classes
+        if self.k < 1:
+            raise ParameterError("K must be at least 1")
+        if self.variant not in ("refined", "old"):
+            raise ParameterError(f"unknown KNN-Shapley variant: {self.variant!r}")
 
 
-def knn_soft_utility(k: int, num_classes: int) -> UtilityKind:
-    return UtilityKind("knn-soft", num_classes, k=k)
+@dataclass(frozen=True)
+class TknnConfig:
+    tau: float
+    metric: DistanceMetric = DistanceMetric.NEGATIVE_COSINE
+
+    def __post_init__(self) -> None:
+        if math.isnan(self.tau):  # +-inf are allowed: every point or none is within
+            raise ParameterError("tau must be a number, not NaN")
+        if self.metric is DistanceMetric.NEGATIVE_COSINE and not -1.0 <= self.tau <= 1.0:
+            raise ParameterError("tau must lie in [-1, 1] for negative-cosine distance")
 
 
-def knn_old_utility(k: int, num_classes: int) -> UtilityKind:
-    return UtilityKind("knn-old", num_classes, k=k)
+def _empty_set_value(cfg: KnnConfig | TknnConfig, ds: Dataset) -> float:
+    # The older KNN utility counts zero correct predictions over K; the others
+    # fall back to random-guess accuracy.
+    if isinstance(cfg, KnnConfig) and cfg.variant == "old":
+        return 0.0
+    return 1.0 / ds.num_classes
 
 
-def tknn_utility(tau: float, num_classes: int) -> UtilityKind:
-    return UtilityKind("tknn", num_classes, tau=tau)
-
-
-def utility(
-    kind: UtilityKind,
-    subset: Dataset,
-    zval: LabeledPoint,
-    metric: DistanceMetric,
-) -> float:
+def utility(cfg: KnnConfig | TknnConfig, subset: Dataset, zval: LabeledPoint) -> float:
     """Value of a training subset for one validation point."""
     n = subset.n
     if n == 0:
-        return kind.empty_set_value
-    if kind.kind == "tknn":
-        dist = distances_to(metric, subset.features, zval.features)
-        within = dist <= kind.tau
+        return _empty_set_value(cfg, subset)
+    dist = distances_to(cfg.metric, subset.features, zval.features)
+    if isinstance(cfg, TknnConfig):
+        within = dist <= cfg.tau
         count = int(within.sum())
         if count == 0:
-            return 1.0 / kind.num_classes
+            return 1.0 / subset.num_classes
         return float((subset.labels[within] == zval.label).sum()) / count
-    dist = distances_to(metric, subset.features, zval.features)
     order = np.argsort(dist, kind="stable")
-    top = min(kind.k, n)
+    top = min(cfg.k, n)
     correct = int((subset.labels[order[:top]] == zval.label).sum())
-    denom = top if kind.kind == "knn-soft" else kind.k
-    return correct / denom
+    return correct / (top if cfg.variant == "refined" else cfg.k)
 
 
 @dataclass(frozen=True)
@@ -152,6 +146,19 @@ class MethodDescriptor:
         return out
 
 
+def describe(
+    name: str,
+    ds: Dataset,
+    cfg: KnnConfig | TknnConfig,
+    weight: str = "shapley",
+    dp: Mapping[str, object] | None = None,
+) -> MethodDescriptor:
+    """The descriptor of a valuation of ``ds`` under ``cfg``, named ``name``."""
+    k = cfg.k if isinstance(cfg, KnnConfig) else None
+    tau = cfg.tau if isinstance(cfg, TknnConfig) else None
+    return MethodDescriptor(name, ds.num_classes, cfg.metric.value, k, tau, weight, dp)
+
+
 @dataclass(frozen=True)
 class ValuationResult:
     """Per-training-point scores plus the method that produced them."""
@@ -173,37 +180,32 @@ class ValuationResult:
         }
 
 
-def subset_utilities(
-    ds: Dataset,
-    kind: UtilityKind,
-    zval: LabeledPoint,
-    metric: DistanceMetric,
-) -> np.ndarray:
+def subset_utilities(ds: Dataset, cfg: KnnConfig | TknnConfig, zval: LabeledPoint) -> np.ndarray:
     """Utility of every subset of ``ds``, indexed by bitmask."""
     n = ds.n
     values = np.empty(1 << n)
-    values[0] = kind.empty_set_value
+    values[0] = _empty_set_value(cfg, ds)
     if n == 0:
         return values
-    dist = distances_to(metric, ds.features, zval.features)
+    dist = distances_to(cfg.metric, ds.features, zval.features)
     match = (ds.labels == zval.label).astype(np.int64)
-    if kind.kind == "tknn":
+    if isinstance(cfg, TknnConfig):
         within_bits = 0
         match_bits = 0
         for i in range(n):
-            if dist[i] <= kind.tau:
+            if dist[i] <= cfg.tau:
                 within_bits |= 1 << i
                 if match[i]:
                     match_bits |= 1 << i
-        inv_c = 1.0 / kind.num_classes
+        inv_c = 1.0 / ds.num_classes
         for mask in range(1, 1 << n):
             inside = (mask & within_bits).bit_count()
             values[mask] = (mask & match_bits).bit_count() / inside if inside else inv_c
         return values
     order = np.argsort(dist, kind="stable")
     order_bits = [(1 << int(i), int(match[i])) for i in order]
-    k = kind.k
-    old = kind.kind == "knn-old"
+    k = cfg.k
+    old = cfg.variant == "old"
     for mask in range(1, 1 << n):
         size = mask.bit_count()
         top = k if k < size else size
@@ -239,21 +241,19 @@ def enumerate_semivalue(n: int, values: np.ndarray, weights: np.ndarray) -> np.n
 
 def shapley_oracle(
     ds: Dataset,
-    kind: UtilityKind,
+    cfg: KnnConfig | TknnConfig,
     zval: LabeledPoint,
-    metric: DistanceMetric,
     max_n: int = DEFAULT_ENUMERATION_GUARD,
 ) -> ValuationResult:
     """Exact Shapley values by full enumeration; guarded by ``max_n``."""
-    return semivalue_oracle(ds, kind, shapley_weight(), zval, metric, max_n=max_n)
+    return semivalue_oracle(ds, cfg, shapley_weight(), zval, max_n=max_n)
 
 
 def semivalue_oracle(
     ds: Dataset,
-    kind: UtilityKind,
+    cfg: KnnConfig | TknnConfig,
     weight: SemivalueWeight,
     zval: LabeledPoint,
-    metric: DistanceMetric,
     max_n: int = DEFAULT_ENUMERATION_GUARD,
 ) -> ValuationResult:
     """Exact semivalues by full enumeration; guarded by ``max_n``."""
@@ -265,17 +265,13 @@ def semivalue_oracle(
         scores = np.zeros(0)
     else:
         weights = weight.values(ds.n)
-        values = subset_utilities(ds, kind, zval, metric)
+        values = subset_utilities(ds, cfg, zval)
         scores = enumerate_semivalue(ds.n, values, weights)
-    descriptor = MethodDescriptor(
-        name="oracle",
-        num_classes=kind.num_classes,
-        metric=metric.value,
-        k=kind.k,
-        tau=kind.tau,
-        weight=weight.kind,
-    )
-    return ValuationResult(scores, descriptor, validation_size=1)
+    if isinstance(cfg, TknnConfig):
+        name = "oracle-tknn"
+    else:
+        name = "oracle-knn" if cfg.variant == "refined" else "oracle-knn-old"
+    return ValuationResult(scores, describe(name, ds, cfg, weight.kind), validation_size=1)
 
 
 def aggregate_over_validation(results: Sequence[ValuationResult]) -> ValuationResult:

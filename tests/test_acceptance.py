@@ -39,12 +39,9 @@ from nnshapley.tknn import TknnConfig, counts_full
 from nnshapley.valuation import (
     aggregate_over_validation,
     enumerate_semivalue,
-    knn_old_utility,
-    knn_soft_utility,
     shapley_oracle,
     shapley_weight,
     subset_utilities,
-    tknn_utility,
     utility,
 )
 from tests.conftest import make_instance, pick_tau
@@ -77,16 +74,19 @@ def test_criterion_1_oracle_equivalence():
         tau = pick_tau(rng, ds, zval, metric)
         zvals = [dval.point(i) for i in range(n_val)]
 
-        fast = tknn_shapley_all(ds, TknnConfig(tau, metric), dval)
-        oracle = sum(shapley_oracle(ds, tknn_utility(tau, c), z, metric).scores for z in zvals)
+        cfg = TknnConfig(tau, metric)
+        fast = tknn_shapley_all(ds, cfg, dval)
+        oracle = sum(shapley_oracle(ds, cfg, z).scores for z in zvals)
         worst = max(worst, float(np.max(np.abs(fast.scores - oracle), initial=0.0)))
 
-        refined = knn_shapley_all(ds, KnnConfig(k, metric, "refined"), dval)
-        oracle = sum(shapley_oracle(ds, knn_soft_utility(k, c), z, metric).scores for z in zvals)
+        cfg = KnnConfig(k, metric, "refined")
+        refined = knn_shapley_all(ds, cfg, dval)
+        oracle = sum(shapley_oracle(ds, cfg, z).scores for z in zvals)
         worst = max(worst, float(np.max(np.abs(refined.scores - oracle))))
 
-        old = knn_shapley_all(ds, KnnConfig(k, metric, "old"), dval)
-        oracle = sum(shapley_oracle(ds, knn_old_utility(k, c), z, metric).scores for z in zvals)
+        cfg = KnnConfig(k, metric, "old")
+        old = knn_shapley_all(ds, cfg, dval)
+        oracle = sum(shapley_oracle(ds, cfg, z).scores for z in zvals)
         worst = max(worst, float(np.max(np.abs(old.scores - oracle))))
         assert worst < 1e-9
     elapsed = time.monotonic() - start
@@ -103,9 +103,9 @@ def test_criterion_2_axiom_suite():
         ds, zval = make_instance(rng, n, num_classes=c)
         tau = pick_tau(rng, ds, zval, EUCLID)
         k = int(rng.integers(1, 6))
-        for kind in (tknn_utility(tau, c), knn_soft_utility(k, c), knn_old_utility(k, c)):
-            scores = shapley_oracle(ds, kind, zval, EUCLID).scores
-            gain = utility(kind, ds, zval, EUCLID) - kind.empty_set_value
+        for cfg in (TknnConfig(tau, EUCLID), KnnConfig(k, EUCLID), KnnConfig(k, EUCLID, "old")):
+            scores = shapley_oracle(ds, cfg, zval).scores
+            gain = utility(cfg, ds, zval) - utility(cfg, ds.subset([]), zval)
             assert abs(scores.sum() - gain) < 1e-9  # efficiency
 
     # symmetry: exact duplicates receive equal values
@@ -113,23 +113,23 @@ def test_criterion_2_axiom_suite():
     feats[5] = feats[2]
     ds = Dataset(feats, np.array([0, 1, 1, 0, 1, 1, 0]), 2)
     zval = LabeledPoint(rng.standard_normal(3), 1)
-    for kind in (tknn_utility(1.5, 2), knn_soft_utility(3, 2), knn_old_utility(3, 2)):
-        scores = shapley_oracle(ds, kind, zval, EUCLID).scores
+    for cfg in (TknnConfig(1.5, EUCLID), KnnConfig(3, EUCLID), KnnConfig(3, EUCLID, "old")):
+        scores = shapley_oracle(ds, cfg, zval).scores
         assert abs(scores[2] - scores[5]) < 1e-12
 
     # dummy: an out-of-threshold point is worth exactly zero
     feats = np.vstack([rng.standard_normal((6, 3)), [[80.0, 80.0, 80.0]]])
     ds = Dataset(feats, rng.integers(0, 2, 7), 2)
     zval = LabeledPoint(np.zeros(3), 0)
-    assert shapley_oracle(ds, tknn_utility(4.0, 2), zval, EUCLID).scores[6] == 0.0
+    assert shapley_oracle(ds, TknnConfig(4.0, EUCLID), zval).scores[6] == 0.0
 
     # linearity: aggregation over validation points equals the oracle of the
     # summed utility
     ds, _ = make_instance(rng, 6)
     zvals = [make_instance(rng, 1)[1] for _ in range(3)]
-    kind = tknn_utility(1.3, 2)
-    agg = aggregate_over_validation([shapley_oracle(ds, kind, z, EUCLID) for z in zvals])
-    summed = sum(subset_utilities(ds, kind, z, EUCLID) for z in zvals)
+    cfg = TknnConfig(1.3, EUCLID)
+    agg = aggregate_over_validation([shapley_oracle(ds, cfg, z) for z in zvals])
+    summed = sum(subset_utilities(ds, cfg, z) for z in zvals)
     direct = enumerate_semivalue(ds.n, summed, shapley_weight().values(ds.n))
     assert np.max(np.abs(agg.scores - direct)) < 1e-9
     report(2, "efficiency, symmetry, dummy, linearity hold at 1e-9 on the oracle corpus")

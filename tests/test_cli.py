@@ -437,6 +437,82 @@ def test_infinite_synthetic_size_is_a_usage_error(tmp_path, capsys, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        pytest.param(["value", "--synthetic", "n=50.7,d=3"], "--synthetic", id="n-fraction"),
+        pytest.param(["value", "--synthetic", "n=50,d=3.9"], "--synthetic", id="d-fraction"),
+        pytest.param(["value", "--synthetic", "n=50,d=3", "--synthetic-val", "n=4.2"],
+                     "--synthetic-val", id="val-n-fraction"),
+        pytest.param(["attack", "--synthetic", "d=3.5"], "--synthetic", id="attack-d-fraction"),
+        pytest.param(_BAD_FLAG_COMMANDS["bench"][:2] + ["100,150.5"]
+                     + _BAD_FLAG_COMMANDS["bench"][3:], "--ns", id="ns-fraction"),
+    ],
+)
+def test_fractional_count_is_a_usage_error(tmp_path, monkeypatch, capsys, args, flag):
+    # A count is never truncated: 50.7 points is an error, not 50.
+    def no_data(*args, **kwargs):
+        raise AssertionError("data generated from a fractional count")
+
+    monkeypatch.setattr("nnshapley.cli.generate_gaussian_synthetic", no_data)
+    monkeypatch.setattr("nnshapley.evaluation.generate_gaussian_synthetic", no_data)
+    out = tmp_path / "x.out"
+    assert run_cli(args + ["--output", str(out)]) == 2
+    assert f"bad {flag} value" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_count_in_float_notation_is_read_exactly(tmp_path):
+    out = tmp_path / "x.json"
+    code = run_cli(["value", "--synthetic", "n=1e2,d=3.0", "--synthetic-val", "n=4e0",
+                    "--method", "tknn", "--output", str(out)])
+    assert code == 0
+    payload = json.loads(out.read_text())
+    assert len(payload["result"]["scores"]) == 100
+    assert payload["result"]["validation_size"] == 4
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        pytest.param(_BAD_FLAG_COMMANDS["dp-value"] + ["--method", "dp-tknn"],
+                     id="dp-value-dp-tknn"),
+        pytest.param(_BAD_FLAG_COMMANDS["dp-value"] + ["--method", "dp-knn",
+                                                       "--baseline", "dp-tknn"],
+                     id="dp-value-baseline-dp-tknn"),
+        pytest.param(_BAD_FLAG_COMMANDS["detect"] + ["--method", "tknn"], id="detect-tknn"),
+        pytest.param(_BAD_FLAG_COMMANDS["detect"] + ["--method", "knn-old"],
+                     id="detect-knn-old"),
+        pytest.param(_BAD_FLAG_COMMANDS["attack"] + ["--method", "dp-tknn", "--sigma", "1"],
+                     id="attack-dp-tknn"),
+    ],
+)
+def test_dp_subsampled_exits_2_before_data_unless_the_method_reads_it(
+    tmp_path, monkeypatch, capsys, args
+):
+    # Only dp-knn reads --dp-subsampled: dp-tknn always subsamples at --q, and
+    # a non-private method reads no DP flag. --baseline replaces --method first.
+    def no_data(*args, **kwargs):
+        raise AssertionError("data generated before --dp-subsampled was validated")
+
+    monkeypatch.setattr("nnshapley.cli.generate_gaussian_synthetic", no_data)
+    out = tmp_path / "x.json"
+    assert run_cli(args + ["--dp-subsampled", "--output", str(out)]) == 2
+    assert "--dp-subsampled" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_dp_subsampled_is_read_when_the_baseline_is_dp_knn(tmp_path):
+    out = tmp_path / "det.json"
+    code = run_cli(["detect", "--synthetic", "n=40,d=3", "--synthetic-val", "n=3",
+                    "--corruption", "flip", "--method", "tknn", "--baseline", "dp-knn",
+                    "--dp-subsampled", "--q", "0.5", "--sigma", "1", "--output", str(out)])
+    assert code == 0
+    method = json.loads(out.read_text())["report"]["method"]
+    assert method["name"] == "dp-knn-shapley-old-subsampled"
+    assert method["dp"]["q"] == 0.5
+
+
 @pytest.mark.parametrize("rate", ["2", "1", "0", "-0.5", "nan"])
 @pytest.mark.parametrize(
     "data",

@@ -25,13 +25,7 @@ from nnshapley.knn import (
     knn_shapley_single,
 )
 from nnshapley.tknn import TknnConfig, tknn_shapley_all, tknn_shapley_single
-from nnshapley.valuation import (
-    aggregate_over_validation,
-    knn_old_utility,
-    knn_soft_utility,
-    shapley_oracle,
-    utility,
-)
+from nnshapley.valuation import aggregate_over_validation, shapley_oracle, utility
 from tests.conftest import make_instance, set_chunk_rows
 
 EUCLID = DistanceMetric.EUCLIDEAN
@@ -59,9 +53,10 @@ class TestRefinedRecursion:
         # recursion by hand gives (2/3, -1/3, 1/6), which sums to
         # v(D) - v(empty) = 1 - 1/2.
         ds, zval = sorted_label_instance([0, 1, 0])
-        res = knn_shapley_single(ds, KnnConfig(1, EUCLID, "refined"), zval)
+        cfg = KnnConfig(1, EUCLID, "refined")
+        res = knn_shapley_single(ds, cfg, zval)
         assert res.scores == pytest.approx([2 / 3, -1 / 3, 1 / 6], abs=1e-12)
-        oracle = shapley_oracle(ds, knn_soft_utility(1, 2), zval, EUCLID)
+        oracle = shapley_oracle(ds, cfg, zval)
         assert res.scores == pytest.approx(oracle.scores, abs=1e-12)
 
     def test_efficiency(self, rng):
@@ -70,8 +65,9 @@ class TestRefinedRecursion:
             k = int(rng.integers(1, 6))
             c = int(rng.integers(2, 4))
             ds, zval = make_instance(rng, n, num_classes=c)
-            res = knn_shapley_single(ds, KnnConfig(k, EUCLID, "refined"), zval)
-            v_full = utility(knn_soft_utility(k, c), ds, zval, EUCLID)
+            cfg = KnnConfig(k, EUCLID, "refined")
+            res = knn_shapley_single(ds, cfg, zval)
+            v_full = utility(cfg, ds, zval)
             assert res.scores.sum() == pytest.approx(v_full - 1 / c, abs=1e-9)
 
     def test_empty_dataset_rejected(self):
@@ -94,8 +90,9 @@ class TestOldRecursion:
             n = int(rng.integers(1, 12))
             k = int(rng.integers(1, 6))
             ds, zval = make_instance(rng, n)
-            res = knn_shapley_single(ds, KnnConfig(k, EUCLID, "old"), zval)
-            v_full = utility(knn_old_utility(k, 2), ds, zval, EUCLID)
+            cfg = KnnConfig(k, EUCLID, "old")
+            res = knn_shapley_single(ds, cfg, zval)
+            v_full = utility(cfg, ds, zval)
             assert res.scores.sum() == pytest.approx(v_full, abs=1e-9)
 
 
@@ -107,11 +104,12 @@ class TestOracleEquivalence:
             k = int(rng.integers(1, 6))
             c = int(rng.integers(2, 4))
             ds, zval = make_instance(rng, n, num_classes=c)
-            refined = knn_shapley_single(ds, KnnConfig(k, metric, "refined"), zval)
-            oracle_soft = shapley_oracle(ds, knn_soft_utility(k, c), zval, metric)
+            soft_cfg, old_cfg = KnnConfig(k, metric, "refined"), KnnConfig(k, metric, "old")
+            refined = knn_shapley_single(ds, soft_cfg, zval)
+            oracle_soft = shapley_oracle(ds, soft_cfg, zval)
             assert np.max(np.abs(refined.scores - oracle_soft.scores)) < 1e-9
-            old = knn_shapley_single(ds, KnnConfig(k, metric, "old"), zval)
-            oracle_old = shapley_oracle(ds, knn_old_utility(k, c), zval, metric)
+            old = knn_shapley_single(ds, old_cfg, zval)
+            oracle_old = shapley_oracle(ds, old_cfg, zval)
             assert np.max(np.abs(old.scores - oracle_old.scores)) < 1e-9
 
 
@@ -157,11 +155,9 @@ class TestValidationSet:
         ds, _ = make_instance(rng, 7)
         dval, _ = make_instance(rng, 3)
         for k in (1, 2, 3):
-            all_res = knn_shapley_all(ds, KnnConfig(k, EUCLID), dval)
-            total = sum(
-                shapley_oracle(ds, knn_soft_utility(k, 2), dval.point(i), EUCLID).scores
-                for i in range(dval.n)
-            )
+            cfg = KnnConfig(k, EUCLID)
+            all_res = knn_shapley_all(ds, cfg, dval)
+            total = sum(shapley_oracle(ds, cfg, dval.point(i)).scores for i in range(dval.n))
             assert np.max(np.abs(all_res.scores - total)) < 1e-9
 
     def test_empty_validation_rejected(self, rng):

@@ -19,17 +19,16 @@ PUBLIC_NAMES = {
     "DetectionReport", "DistanceMetric", "DpParams", "EnumerationLimitError", "KnnConfig",
     "LabeledPoint", "MethodConfig", "MethodDescriptor", "MiaConfig", "MiaVerdict",
     "NeighborCounts", "ParameterError", "PrivacyLossDistribution", "PrivatizedCounts",
-    "SemivalueWeight", "TknnConfig", "UtilityKind", "ValuationResult", "add_feature_noise",
+    "SemivalueWeight", "TknnConfig", "ValuationResult", "add_feature_noise",
     "aggregate_over_validation", "analytic_gaussian_epsilon", "auroc", "banzhaf_weight",
     "bench_runtime", "calibrate_sigma_for_budget", "compose", "compute_values", "counts_full",
     "counts_leave_one_out", "custom_weight", "distance", "dp_knn_shapley_all",
     "dp_tknn_shapley_all", "epsilon_at_delta", "flip_labels", "gaussian_pld",
-    "generate_gaussian_synthetic", "knn_old_utility", "knn_shapley_all", "knn_shapley_single",
-    "knn_soft_utility", "load_csv", "mia_auroc", "mia_score", "poisson_subsample",
-    "privatize_counts", "run_detection", "semivalue_oracle", "shapley_oracle", "shapley_weight",
-    "subsampled_gaussian_pld", "tknn_consistency_check", "tknn_semivalue_generic",
-    "tknn_shapley_all", "tknn_shapley_from_counts", "tknn_shapley_single", "tknn_utility",
-    "utility",
+    "generate_gaussian_synthetic", "knn_shapley_all", "knn_shapley_single", "load_csv",
+    "mia_auroc", "mia_score", "poisson_subsample", "privatize_counts", "run_detection",
+    "semivalue_oracle", "shapley_oracle", "shapley_weight", "subsampled_gaussian_pld",
+    "tknn_consistency_check", "tknn_semivalue_generic", "tknn_shapley_all",
+    "tknn_shapley_from_counts", "tknn_shapley_single", "utility",
 }
 
 
@@ -50,6 +49,16 @@ def test_public_names_are_pinned():
 )
 def test_releases_take_the_class_count_from_the_dataset(name):
     assert "num_classes" not in inspect.signature(getattr(nnshapley, name)).parameters
+
+
+@pytest.mark.parametrize(
+    "name", ["utility", "subset_utilities", "semivalue_oracle", "shapley_oracle"]
+)
+def test_the_oracle_takes_the_release_config_alone(name):
+    # The metric comes from the KnnConfig/TknnConfig, the class count from the dataset.
+    parameters = inspect.signature(getattr(nnshapley.valuation, name)).parameters
+    assert "cfg" in parameters
+    assert not {"metric", "num_classes", "kind"} & set(parameters)
 
 
 def test_private_releases_run_at_the_rate_of_their_dp_params():

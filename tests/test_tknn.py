@@ -37,7 +37,6 @@ from nnshapley.valuation import (
     semivalue_oracle,
     shapley_oracle,
     shapley_weight,
-    tknn_utility,
     utility,
 )
 from tests.conftest import make_instance, pick_tau
@@ -140,7 +139,7 @@ class TestClosedForm:
             if n == 0:
                 assert fast.scores.shape == (0,)
                 continue
-            oracle = shapley_oracle(ds, tknn_utility(cfg.tau, c), zval, metric)
+            oracle = shapley_oracle(ds, cfg, zval)
             assert np.max(np.abs(fast.scores - oracle.scores)) < 1e-9
 
     def test_sign_structure(self, rng):
@@ -169,7 +168,7 @@ class TestClosedForm:
             ds, zval = make_instance(rng, n, num_classes=c)
             cfg = TknnConfig(pick_tau(rng, ds, zval, EUCLID), EUCLID)
             scores = tknn_shapley_single(ds, cfg, zval).scores
-            v_full = utility(tknn_utility(cfg.tau, c), ds, zval, EUCLID)
+            v_full = utility(cfg, ds, zval)
             assert scores.sum() == pytest.approx(v_full - 1 / c, abs=1e-9)
 
     @pytest.mark.parametrize("metric", [EUCLID, NEGCOS])
@@ -469,7 +468,7 @@ class TestGenericSemivalue:
             ds, zval = make_instance(rng, n)
             cfg = TknnConfig(pick_tau(rng, ds, zval, EUCLID), EUCLID)
             generic = tknn_semivalue_generic(ds, cfg, banzhaf_weight(), zval)
-            oracle = semivalue_oracle(ds, tknn_utility(cfg.tau, 2), banzhaf_weight(), zval, EUCLID)
+            oracle = semivalue_oracle(ds, cfg, banzhaf_weight(), zval)
             assert np.max(np.abs(generic.scores - oracle.scores)) < 1e-9
 
     def test_out_of_threshold_zero_for_any_weight(self, rng):
