@@ -146,7 +146,9 @@ def _add_data_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-l2-normalize", action="store_true", help="skip feature normalization")
     p.add_argument("--num-classes", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker threads of a non-private method; a private method "
+                        "(dp-tknn, dp-knn) runs on one thread whatever this says")
 
 
 def _add_method_args(

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ._rng import TAG_NOISE, TAG_SUBSAMPLE, streams
-from .dataset import Dataset, sum_over_validation, validation_chunks
+from .dataset import Dataset, _integer, sum_over_validation, validation_chunks
 from .errors import ParameterError
 from .knn import _old_sorted_batch, knn_score_matrix, knn_sorted_match
 from .tknn import NeighborCounts, clamp_counts, tknn_tiled_sum
@@ -62,6 +62,7 @@ class DpParams:
             raise ParameterError("sigma must be nonnegative and finite")
         if not 0.0 < self.q <= 1.0:
             raise ParameterError("subsampling rate q must lie in (0, 1]")
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
         if self.seed < 0:
             raise ParameterError("seed must be nonnegative")
 
@@ -83,8 +84,8 @@ def privatize_counts(
     rng: np.random.Generator | int,
 ) -> PrivatizedCounts:
     """round(counts + N(0, sigma^2 I_3)), clamped to the valid count ranges."""
-    if sigma < 0.0:
-        raise ParameterError("sigma must be nonnegative")
+    if not 0.0 <= sigma < math.inf:  # also false for NaN
+        raise ParameterError("sigma must be nonnegative and finite")
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     draws = gen.normal(0.0, sigma, 3) if sigma > 0.0 else np.zeros(3)
     noisy = np.rint(np.asarray(counts.as_tuple(), dtype=np.float64) + draws)

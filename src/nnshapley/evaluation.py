@@ -210,6 +210,8 @@ def bench_runtime(
 
     Rows: {"n", "method", "median_seconds", "repeats"}.
     """
+    if len(ns) == 0 or len(methods) == 0:
+        raise ParameterError("bench needs at least one training size and one method")
     if list(ns) != sorted(ns):
         raise ParameterError("training sizes must be ascending")
     if repeats < 3:

@@ -24,7 +24,7 @@ from ._rng import (
     substream_seed,
     substream_seeds,
 )
-from .dataset import Dataset, LabeledPoint
+from .dataset import Dataset, LabeledPoint, _integer
 from .errors import ParameterError
 from .evaluation import MethodConfig, auroc, compute_values
 
@@ -44,6 +44,10 @@ class MiaConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "shadow_count", _integer(self.shadow_count, "shadow_count"))
+        if self.shadow_size is not None:
+            object.__setattr__(self, "shadow_size", _integer(self.shadow_size, "shadow_size"))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
         if self.shadow_count < 2:
             raise ParameterError("at least two shadow datasets are required")
         if self.seed < 0:

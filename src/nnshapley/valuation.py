@@ -11,7 +11,9 @@ empty set is worth 0 under the older KNN utility and 1/C otherwise.
 
 The oracle enumerates every coalition and is the ground truth the fast
 closed-form routines are tested against. It is deliberately independent of
-those routines: it only needs a utility value per subset bitmask. Every
+those routines: one function scores a block of coalitions, ``utility`` is
+its one-row case, and ``subset_utilities`` evaluates it over every subset
+bitmask in blocks of ``_MASK_BLOCK``. Every
 :class:`MethodDescriptor`, the oracle's and the releases', is built by
 :func:`describe`; the oracle's name says which utility it scored
 (``oracle-knn``, ``oracle-knn-old`` or ``oracle-tknn``).
@@ -25,7 +27,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .dataset import Dataset, DistanceMetric, LabeledPoint, distances_to
+from .dataset import Dataset, DistanceMetric, LabeledPoint, _integer, distances_to
 from .errors import EnumerationLimitError, ParameterError
 
 DEFAULT_ENUMERATION_GUARD = 20
@@ -38,6 +40,7 @@ class KnnConfig:
     variant: str = "refined"  # "refined" | "old"
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "k", _integer(self.k, "K"))
         if self.k < 1:
             raise ParameterError("K must be at least 1")
         if self.variant not in ("refined", "old"):
@@ -56,30 +59,44 @@ class TknnConfig:
             raise ParameterError("tau must lie in [-1, 1] for negative-cosine distance")
 
 
-def _empty_set_value(cfg: KnnConfig | TknnConfig, ds: Dataset) -> float:
-    # The older KNN utility counts zero correct predictions over K; the others
-    # fall back to random-guess accuracy.
-    if isinstance(cfg, KnnConfig) and cfg.variant == "old":
-        return 0.0
-    return 1.0 / ds.num_classes
+_MASK_BLOCK = 1 << 15  # coalitions per block of subset_utilities: bounds its temporaries
+
+
+def _coalition_utilities(
+    cfg: KnnConfig | TknnConfig,
+    num_classes: int,
+    dist: np.ndarray,
+    match: np.ndarray,
+    members: np.ndarray,
+) -> np.ndarray:
+    """Utility of each coalition, a boolean row of ``members`` over the points
+    whose distances to the validation point are ``dist`` and whose labels
+    ``match`` its label.
+
+    TKNN scores the share of matches among the members within tau. KNN counts
+    the matches among the first min(K, |S|) members in (distance, index)
+    order and divides by min(K, |S|), or by K under the older utility. A
+    coalition with no neighbour is worth 1/C, or 0 under the older utility.
+    """
+    old = isinstance(cfg, KnnConfig) and cfg.variant == "old"
+    if isinstance(cfg, TknnConfig):
+        members = members & (dist <= cfg.tau)
+    else:
+        order = np.argsort(dist, kind="stable")
+        members, match = members[:, order], match[order]
+        members = members & (np.cumsum(members, axis=1) <= cfg.k)
+    count = members.sum(axis=1)
+    correct = (members & match).sum(axis=1)
+    denom = cfg.k if old else np.maximum(count, 1)
+    return np.where(count > 0, correct / denom, 0.0 if old else 1.0 / num_classes)
 
 
 def utility(cfg: KnnConfig | TknnConfig, subset: Dataset, zval: LabeledPoint) -> float:
     """Value of a training subset for one validation point."""
-    n = subset.n
-    if n == 0:
-        return _empty_set_value(cfg, subset)
     dist = distances_to(cfg.metric, subset.features, zval.features)
-    if isinstance(cfg, TknnConfig):
-        within = dist <= cfg.tau
-        count = int(within.sum())
-        if count == 0:
-            return 1.0 / subset.num_classes
-        return float((subset.labels[within] == zval.label).sum()) / count
-    order = np.argsort(dist, kind="stable")
-    top = min(cfg.k, n)
-    correct = int((subset.labels[order[:top]] == zval.label).sum())
-    return correct / (top if cfg.variant == "refined" else cfg.k)
+    whole = np.ones((1, subset.n), dtype=bool)
+    match = subset.labels == zval.label
+    return float(_coalition_utilities(cfg, subset.num_classes, dist, match, whole)[0])
 
 
 @dataclass(frozen=True)
@@ -104,7 +121,7 @@ class SemivalueWeight:
         else:
             raise ParameterError(f"unknown weight kind: {self.kind!r}")
         total = sum(math.comb(n - 1, kk - 1) * w[kk - 1] for kk in k)
-        if abs(total - n) > 1e-9 * n:
+        if not abs(total - n) <= 1e-9 * n:  # also true for NaN
             raise ParameterError(
                 f"weight normalization violated: sum C(N-1,k-1) w(k) = {total}, expected {n}"
             )
@@ -181,43 +198,15 @@ class ValuationResult:
 
 
 def subset_utilities(ds: Dataset, cfg: KnnConfig | TknnConfig, zval: LabeledPoint) -> np.ndarray:
-    """Utility of every subset of ``ds``, indexed by bitmask."""
-    n = ds.n
-    values = np.empty(1 << n)
-    values[0] = _empty_set_value(cfg, ds)
-    if n == 0:
-        return values
+    """Utility of every subset of ``ds``, indexed by bitmask: point i is in
+    subset ``mask`` when bit i of ``mask`` is set."""
     dist = distances_to(cfg.metric, ds.features, zval.features)
-    match = (ds.labels == zval.label).astype(np.int64)
-    if isinstance(cfg, TknnConfig):
-        within_bits = 0
-        match_bits = 0
-        for i in range(n):
-            if dist[i] <= cfg.tau:
-                within_bits |= 1 << i
-                if match[i]:
-                    match_bits |= 1 << i
-        inv_c = 1.0 / ds.num_classes
-        for mask in range(1, 1 << n):
-            inside = (mask & within_bits).bit_count()
-            values[mask] = (mask & match_bits).bit_count() / inside if inside else inv_c
-        return values
-    order = np.argsort(dist, kind="stable")
-    order_bits = [(1 << int(i), int(match[i])) for i in order]
-    k = cfg.k
-    old = cfg.variant == "old"
-    for mask in range(1, 1 << n):
-        size = mask.bit_count()
-        top = k if k < size else size
-        taken = 0
-        correct = 0
-        for bit, m in order_bits:
-            if mask & bit:
-                correct += m
-                taken += 1
-                if taken == top:
-                    break
-        values[mask] = correct / (k if old else top)
+    match = ds.labels == zval.label
+    values = np.empty(1 << ds.n)
+    for start in range(0, values.size, _MASK_BLOCK):
+        masks = np.arange(start, min(start + _MASK_BLOCK, values.size))
+        members = ((masks[:, None] >> np.arange(ds.n)) & 1).astype(bool)
+        values[masks] = _coalition_utilities(cfg, ds.num_classes, dist, match, members)
     return values
 
 

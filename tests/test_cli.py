@@ -628,6 +628,16 @@ def test_bench_rejects_a_private_method_before_data(tmp_path, monkeypatch, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("empty", [["--ns", ","], ["--ns", "100", "--methods", ","]],
+                         ids=["no sizes", "no methods"])
+def test_bench_with_nothing_to_time_is_a_usage_error(tmp_path, capsys, empty):
+    out = tmp_path / "bench.csv"
+    code = run_cli(["bench", *empty, "--nval", "5", "--output", str(out)])
+    assert code == 2
+    assert "at least one" in capsys.readouterr().err
+    assert not out.exists()
+
+
 _DP_VALUE = ["dp-value", "--synthetic", "n=30,d=3", "--synthetic-val", "n=4",
              "--method", "dp-tknn"]
 _ACCOUNT = ["account", "--mechanisms", "4"]

@@ -103,6 +103,12 @@ class TestPrivatizeCounts:
         priv = privatize_counts(NeighborCounts(100, 3, 2), 0.0, rng)
         assert priv.counts.c_zplus <= priv.counts.c_x - 1
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf, -1.0])
+    def test_rejects_a_sigma_outside_zero_to_infinity(self, sigma):
+        # NaN fails both sigma < 0 and sigma > 0, so it once released exact counts.
+        with pytest.raises(ParameterError, match="sigma"):
+            privatize_counts(NeighborCounts(10, 5, 2), sigma, 0)
+
     def test_seeded_determinism(self):
         a = privatize_counts(NeighborCounts(9, 5, 1), 2.5, 42)
         b = privatize_counts(NeighborCounts(9, 5, 1), 2.5, 42)

@@ -1,10 +1,13 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from nnshapley.dataset import Dataset, DistanceMetric, LabeledPoint
+from nnshapley.dp import DpParams
 from nnshapley.errors import EnumerationLimitError, ParameterError
+from nnshapley.mia import MiaConfig
 from nnshapley.valuation import (
     KnnConfig,
     TknnConfig,
@@ -17,6 +20,7 @@ from nnshapley.valuation import (
     shapley_oracle,
     shapley_weight,
     subset_utilities,
+    describe,
     utility,
 )
 from tests.conftest import make_instance, pick_tau
@@ -153,6 +157,15 @@ class TestSemivalueOracle:
         with pytest.raises(ParameterError, match="normalization"):
             bad.values(4)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_weights_fail_normalization(self, bad, rng):
+        weight = custom_weight(lambda k, n: bad)
+        with pytest.raises(ParameterError, match="normalization"):
+            weight.values(4)
+        ds, zval = make_instance(rng, 4)
+        with pytest.raises(ParameterError, match="normalization"):
+            semivalue_oracle(ds, TknnConfig(1.0, EUCLID), weight, zval)
+
     def test_custom_weight_matching_shapley(self, rng):
         w = custom_weight(lambda k, n: 1.0 / math.comb(n - 1, k - 1))
         ds, zval = make_instance(rng, 5)
@@ -239,3 +252,35 @@ class TestResultJson:
         assert payload["scores"] == [0.25, -0.5]
         assert payload["method"]["name"] == "tknn-shapley"
         assert payload["validation_size"] == 4
+
+
+# Each integer field of a configuration, as (constructor of a value, field name).
+INTEGER_FIELDS = [
+    (lambda v: KnnConfig(v), "k"),
+    (lambda v: DpParams(delta=1e-4, sigma=1.0, seed=v), "seed"),
+    (lambda v: MiaConfig(shadow_count=v), "shadow_count"),
+    (lambda v: MiaConfig(shadow_size=v), "shadow_size"),
+    (lambda v: MiaConfig(seed=v), "seed"),
+]
+
+
+@pytest.mark.parametrize("make,field", INTEGER_FIELDS, ids=[
+    "KnnConfig.k", "DpParams.seed", "MiaConfig.shadow_count", "MiaConfig.shadow_size",
+    "MiaConfig.seed",
+])
+class TestIntegerFields:
+    @pytest.mark.parametrize("bad", [2.5, 3.5, math.nan, math.inf, "3"])
+    def test_non_integers_are_rejected(self, make, field, bad):
+        with pytest.raises(ParameterError):
+            make(bad)
+
+    @pytest.mark.parametrize("good", [3, np.int64(3), np.uint8(3), 3.0])
+    def test_integers_are_stored_as_python_ints(self, make, field, good):
+        value = getattr(make(good), field)
+        assert type(value) is int and value == 3
+
+
+def test_integer_k_descriptors_are_plain_json():
+    ds = Dataset(np.zeros((2, 1)), np.array([0, 1]), 2)
+    assert json.loads(json.dumps(describe("knn", ds, KnnConfig(np.int64(3))).to_dict()))["k"] == 3
+    assert json.loads(json.dumps(describe("knn", ds, KnnConfig(True)).to_dict()))["k"] == 1
